@@ -79,9 +79,8 @@ type benchReport struct {
 	MemBanksScaling []memBanksPoint `json:"mem_banks_scaling,omitempty"`
 
 	// Makespan times the full benchmark × technique matrix through the
-	// job-level runner twice — static split vs the adaptive two-level
-	// schedule (cost-model LPT + tail worker reallocation) — on fresh
-	// runners, so it measures scheduling, not caching. Speedup is
+	// job-level runner twice — static submission order vs adaptive
+	// (cost-model LPT order) — on fresh runners, so it measures scheduling, not caching. Speedup is
 	// static_ms/adaptive_ms; interpret against "gomaxprocs" (a single-core
 	// host can only measure scheduling overhead).
 	Makespan struct {
@@ -300,11 +299,10 @@ func cmdBench(args []string) error {
 		rep.MemBanksScaling = append(rep.MemBanksScaling, pt)
 	}
 
-	// Makespan: the full matrix through the job-level runner, static split
-	// vs adaptive two-level scheduling. Fresh runner per mode (empty cache,
-	// no store) so both time real simulation; IntraRunWorkers=1 gives the
-	// static mode the widest job-level split, and under adaptive the lease
-	// pool grows tail runs beyond it.
+	// Makespan: the full matrix through the job-level runner, static
+	// submission order vs adaptive LPT order. Fresh runner per mode (empty
+	// cache, no store) so both time real simulation; IntraRunWorkers=1 gives
+	// both modes the widest job-level split.
 	runMatrix := func(mode core.SchedMode) (float64, error) {
 		mb := base
 		mb.IntraRunWorkers = 1
@@ -450,11 +448,11 @@ func checkScalingFloor(rep *benchReport, floor float64) error {
 }
 
 // checkMakespanFloor enforces the -makespan-floor gate: adaptive scheduling
-// must beat the static split on full-matrix wall time by the given factor.
-// The 20% target assumes enough cores for both job-level parallelism and a
-// tail to reallocate, so the gate self-scales: below 2 cores it skips with
+// (LPT order) must beat static submission order on full-matrix wall time by
+// the given factor. The 20% target assumes enough job-level workers for the
+// order to shorten the tail, so the gate self-scales: below 2 cores it skips with
 // errFloorSkipped (exit 3) exactly like the scaling-floor gate, at 2-3 cores
-// it reports the measurement without enforcing (the tail is too short to
+// it reports the measurement without enforcing (too few workers to
 // guarantee the target), and at >=4 cores it fails hard below the floor.
 // WARPEDGATES_FORCE_FLOOR=1 promotes every tier to hard enforcement.
 func checkMakespanFloor(rep *benchReport, floor float64) error {

@@ -174,7 +174,7 @@ func addWorkersFlag(fs *flag.FlagSet) *int {
 // output is byte-identical either way.
 func addSchedFlag(fs *flag.FlagSet) *string {
 	return fs.String("sched", "adaptive",
-		"job scheduling: adaptive (cost-model LPT + tail worker reallocation) or static (submission order, fixed split); identical output either way")
+		"job scheduling: adaptive (cost-model LPT order) or static (submission order); identical output either way")
 }
 
 // envWorkers parses WARPEDGATES_WORKERS; unset, malformed or negative values

@@ -93,11 +93,11 @@ func TestCheckedMatrixIntraRunWorkers(t *testing.T) {
 }
 
 // TestCheckedMatrixAdaptiveSched runs the full matrix as one batch under the
-// adaptive two-level schedule — cost-model LPT order, a lease pool seeded so
-// running simulations absorb drained workers' budget mid-run, work-stealing
-// SM shards — with the invariant checker attached, and requires every report
-// to fingerprint identical to a static serial runner's. Under `go test -race`
-// this is the data-race acceptance gate for tail reallocation and stealing.
+// adaptive schedule — cost-model LPT order, with every simulation on the
+// parallel engine's work-stealing SM shards — with the invariant checker
+// attached, and requires every report to fingerprint identical to a static
+// serial runner's. Under `go test -race` this is the data-race acceptance
+// gate for concurrent jobs and stealing.
 func TestCheckedMatrixAdaptiveSched(t *testing.T) {
 	base := config.Small()
 	base.IntraRunWorkers = base.NumSMs

@@ -133,22 +133,12 @@ type Config struct {
 	// exists only for equivalence testing and debugging; the zero value
 	// leaves it enabled.
 	DisableFastForward bool
-	// DisableShardSteal pins each parallel-engine worker to a fixed
-	// contiguous SM shard instead of letting workers claim SM batches from a
-	// shared index each compute window. Stealing only changes which goroutine
-	// steps an SM — never the cycle its effects resolve at — so the knob is
-	// bit-exact either way and exists for equivalence testing and overhead
-	// measurement; the zero value leaves stealing enabled. Like
-	// IntraRunWorkers it never affects results and is excluded from the
-	// experiment runner's cache key.
-	DisableShardSteal bool
 
 	// --- Intra-run parallel engine tuning ---
 	//
 	// BatchCycles and MemBanks tune the exact parallel engine and can never
 	// change a result, only wall-clock time (like IntraRunWorkers they are
-	// excluded from the experiment runner's cache key). EpochRelaxedCycles
-	// changes observable timing and is part of the cache key.
+	// excluded from the experiment runner's cache key).
 
 	// BatchCycles bounds how many device cycles workers may step their SM
 	// shards between arbitration points when no shard has a staged global
@@ -166,17 +156,6 @@ type Config struct {
 	// the sharding is timing-invisible at any value. 0 selects the largest
 	// power of two <= 8 that divides both.
 	MemBanks int
-	// EpochRelaxedCycles, when positive, opts the parallel engine into
-	// bounded cycle skew: SM shards run full epochs of this many cycles
-	// between arbitration points without stopping at staged accesses, and
-	// staged requests drain at epoch end in (SM, staging-order) rather than
-	// cycle order. Results are still deterministic for a fixed configuration
-	// but are no longer bit-identical to the serial engine; the error is
-	// bounded and measured against the golden corpus (see EXPERIMENTS.md).
-	// Must not exceed L1HitLatency (the shortest staged completion), which
-	// guarantees every deferred writeback still lands ahead of the shard's
-	// frontier. 0 (the default) keeps the engine exact.
-	EpochRelaxedCycles int
 
 	// --- Interval-sampled simulation ---
 	//
@@ -191,8 +170,7 @@ type Config struct {
 	// invariant holds; only the estimated totals differ from a full run.
 	// Results change (the report carries a per-run error estimate), so both
 	// knobs are part of the experiment runner's cache key. Sampling always
-	// runs on the serial engine and is mutually exclusive with
-	// EpochRelaxedCycles. Both zero (the default) disables sampling.
+	// runs on the serial engine. Both zero (the default) disables sampling.
 	SampleDetailCycles int
 	SamplePeriod       int
 }
@@ -329,10 +307,6 @@ func (c *Config) Validate() error {
 		check(c.MemBanks == 0 || (c.L2Sets%c.MemBanks == 0 && c.DRAMSlots%c.MemBanks == 0),
 			"MemBanks (%d) must divide L2Sets (%d) and DRAMSlots (%d) for an exact partition",
 			c.MemBanks, c.L2Sets, c.DRAMSlots),
-		check(c.EpochRelaxedCycles >= 0, "EpochRelaxedCycles must be non-negative, got %d", c.EpochRelaxedCycles),
-		check(c.EpochRelaxedCycles <= c.L1HitLatency,
-			"EpochRelaxedCycles (%d) must not exceed L1HitLatency (%d): the skew bound rests on the shortest staged completion outrunning the epoch",
-			c.EpochRelaxedCycles, c.L1HitLatency),
 		check(c.SampleDetailCycles >= 0, "SampleDetailCycles must be non-negative, got %d", c.SampleDetailCycles),
 		check(c.SamplePeriod >= 0, "SamplePeriod must be non-negative, got %d", c.SamplePeriod),
 		check((c.SampleDetailCycles == 0) == (c.SamplePeriod == 0),
@@ -341,9 +315,6 @@ func (c *Config) Validate() error {
 		check(c.SamplePeriod == 0 || c.SamplePeriod > c.SampleDetailCycles,
 			"SamplePeriod (%d) must exceed SampleDetailCycles (%d): each period is one detailed window plus the work it stands in for",
 			c.SamplePeriod, c.SampleDetailCycles),
-		check(c.SampleDetailCycles == 0 || c.EpochRelaxedCycles == 0,
-			"sampling (SampleDetailCycles=%d) and relaxed epochs (EpochRelaxedCycles=%d) are mutually exclusive",
-			c.SampleDetailCycles, c.EpochRelaxedCycles),
 	}
 	for _, err := range checks {
 		if err != nil {

@@ -12,9 +12,8 @@ import (
 )
 
 // The cost model behind the makespan-aware scheduler: a per-job wall-time
-// prediction keyed by (bench, sms, scale, sampling), used only to *order* and
-// *provision* work (LPT admission, tail reallocation) — never to change what
-// a job computes, so a wrong prediction costs wall time, not correctness.
+// prediction keyed by (bench, sms, scale, sampling), used only to *order*
+// work (LPT admission) — never to change what a job computes, so a wrong prediction costs wall time, not correctness.
 //
 // Predictions are seeded from a committed calibration table (costdata.json,
 // regenerated deterministically by `warpedgates bench -calibrate`): the

@@ -372,11 +372,6 @@ func TestJobKeyAxes(t *testing.T) {
 		t.Fatalf("engine-tuning axes leaked into the job key:\n %s\n %s", key, got)
 	}
 
-	relaxed := base
-	relaxed.EpochRelaxedCycles = 64
-	if JobKey("hotspot", relaxed, 0.1) == key {
-		t.Fatal("EpochRelaxedCycles does not key, but relaxed mode changes results")
-	}
 	sampled := base
 	sampled.SampleDetailCycles = 1000
 	sampled.SamplePeriod = 5000

@@ -2,6 +2,7 @@ package core
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,51 +120,75 @@ func TestGoldenMatrixParallelismStable(t *testing.T) {
 	}
 }
 
-// goldenWorkersRunner builds a fresh corpus runner whose base runs every
-// simulation on the given intra-run worker count.
-func goldenWorkersRunner(workers int, noFF bool) *Runner {
-	base := config.Small()
-	base.IntraRunWorkers = workers
-	base.DisableFastForward = noFF
+// engineTune is one set of exact-engine knobs; none of them may change a
+// result.
+type engineTune struct {
+	workers, batch, banks int
+}
+
+// goldenEngineRunner builds a fresh corpus runner over base, so nothing is
+// served from another runner's cache.
+func goldenEngineRunner(base config.Config) *Runner {
 	r := NewRunner(base)
 	r.Scale = goldenMatrixScale
-	r.Parallelism = 1
 	return r
 }
 
-// TestGoldenMatrixIntraRunWorkersStable is the tentpole's byte-stability
+// checkCorpusEngineStable renders the full corpus on base with the serial
+// engine and again at every tune, and fails on the first line that differs.
+func checkCorpusEngineStable(t *testing.T, base config.Config, tunes []engineTune) {
+	t.Helper()
+	base.IntraRunWorkers = 1
+	serial, err := goldenCorpus(goldenEngineRunner(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tune := range tunes {
+		cfg := base
+		cfg.IntraRunWorkers, cfg.BatchCycles, cfg.MemBanks = tune.workers, tune.batch, tune.banks
+		par, err := goldenCorpus(goldenEngineRunner(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial == par {
+			continue
+		}
+		sl, pl := strings.Split(serial, "\n"), strings.Split(par, "\n")
+		for i := 0; i < len(sl) && i < len(pl); i++ {
+			if sl[i] != pl[i] {
+				t.Fatalf("corpus not byte-stable across serial vs %+v; first diff at line %d:\n  serial:   %s\n  parallel: %s",
+					tune, i+1, sl[i], pl[i])
+			}
+		}
+		t.Fatalf("corpus not byte-stable across serial vs %+v: length mismatch", tune)
+	}
+}
+
+// TestGoldenMatrixIntraRunWorkersStable is the engine's byte-stability
 // acceptance check: the full 108-cell corpus is byte-identical between the
-// serial engine and the phase-split parallel engine at workers ∈ {4, NumSMs},
-// with the idle fast-forward both on and off. Fresh runners on every side —
-// and IntraRunWorkers is excluded from the cache key anyway, precisely
-// because of this equivalence.
+// serial engine and the phase-split parallel engine. It runs on config.Small
+// at workers ∈ {4, NumSMs} with the idle fast-forward both on and off, and on
+// the paper's default GTX480 machine at workers ∈ {2, 15} and with a short
+// batch over a single memory bank — the default machine's 15 SMs and deeper
+// memory pipeline exercise parking and arbitration orders Small never
+// reaches. IntraRunWorkers, BatchCycles and MemBanks are excluded from the
+// cache key precisely because of this equivalence.
 func TestGoldenMatrixIntraRunWorkersStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated full matrices are slow; skipped with -short")
 	}
 	for _, noFF := range []bool{false, true} {
-		serial, err := goldenCorpus(goldenWorkersRunner(1, noFF))
-		if err != nil {
-			t.Fatal(err)
-		}
+		base := config.Small()
+		base.DisableFastForward = noFF
 		// Workers beyond NumSMs (Small has 2) clamp to NumSMs, so 4 also
 		// exercises the clamp; 2 is the one-SM-per-worker split.
-		for _, workers := range []int{4, config.Small().NumSMs} {
-			par, err := goldenCorpus(goldenWorkersRunner(workers, noFF))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial == par {
-				continue
-			}
-			sl, pl := strings.Split(serial, "\n"), strings.Split(par, "\n")
-			for i := 0; i < len(sl) && i < len(pl); i++ {
-				if sl[i] != pl[i] {
-					t.Fatalf("corpus not byte-stable across workers 1 vs %d (noFF=%v); first diff at line %d:\n  serial:   %s\n  parallel: %s",
-						workers, noFF, i+1, sl[i], pl[i])
-				}
-			}
-			t.Fatalf("corpus not byte-stable across workers 1 vs %d (noFF=%v): length mismatch", workers, noFF)
-		}
+		t.Run(fmt.Sprintf("Small/noFF=%v", noFF), func(t *testing.T) {
+			checkCorpusEngineStable(t, base, []engineTune{{workers: 4}, {workers: base.NumSMs}})
+		})
 	}
+	t.Run("GTX480", func(t *testing.T) {
+		checkCorpusEngineStable(t, config.GTX480(), []engineTune{
+			{workers: 2}, {workers: 15}, {workers: 3, batch: 32, banks: 1},
+		})
+	})
 }

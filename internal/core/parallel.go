@@ -72,13 +72,9 @@ func (r *Runner) RunMany(jobs []Job) ([]*sim.Report, error) {
 // serial loop over jobs.
 //
 // Under SchedAdaptive (the default) the dispatcher admits jobs in LPT order —
-// longest predicted first, by the cost model — and the budget is elastic at
-// the tail: surplus cores the batch could not use as job-level workers seed a
-// WorkerLeases pool, each worker returns its share when the queue drains, and
-// still-running simulations absorb the tokens as extra intra-run workers at
-// their next epoch boundary. Neither mechanism can change a result: results
-// are positional, jobs deterministic at any worker count. SchedStatic keeps
-// submission order and a fixed split.
+// longest predicted first, by the cost model. The order cannot change a
+// result: results are positional and jobs deterministic. SchedStatic keeps
+// submission order.
 //
 // Cancellation and failure share one mechanism: the job context. The first
 // job error cancels it with that error as the cause, which stops the
@@ -107,8 +103,6 @@ func (r *Runner) RunManyCtx(ctx context.Context, jobs []Job) ([]*sim.Report, err
 	for i := range order {
 		order[i] = i
 	}
-	var leases *WorkerLeases
-	iw := r.Base.EffectiveIntraRunWorkers()
 	if r.Sched == SchedAdaptive {
 		cost := r.costModel()
 		pred := make([]float64, len(jobs))
@@ -127,8 +121,6 @@ func (r *Runner) RunManyCtx(ctx context.Context, jobs []Job) ([]*sim.Report, err
 			}
 		}
 		order = lptOrder(pred)
-		leases = NewWorkerLeases(r.budget() - workers*iw)
-		ctx = WithWorkerLeases(ctx, leases)
 	}
 
 	ctx, cancel := context.WithCancelCause(ctx)
@@ -149,11 +141,6 @@ func (r *Runner) RunManyCtx(ctx context.Context, jobs []Job) ([]*sim.Report, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if leases != nil {
-				// The worker's budget share outlives it as lease tokens for
-				// the jobs still running (tail reallocation).
-				defer leases.Release(iw)
-			}
 			for i := range next {
 				rep, err := r.RunCfgCtx(ctx, jobs[i].Bench, jobs[i].Cfg)
 				if err != nil {

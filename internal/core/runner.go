@@ -137,10 +137,9 @@ type cacheEntry struct {
 // runKey identifies a unique simulation. IntraRunWorkers, BatchCycles and
 // MemBanks are deliberately absent: the exact parallel engine is bit-identical
 // to the serial one at any worker count, batch size or bank count, so runs
-// that differ only in those share one cache slot. EpochRelaxedCycles is
-// present: relaxed mode changes results, so it must key separately — and so
-// are SampleDetailCycles/SamplePeriod, because a sampled report is an
-// estimate, never interchangeable with the detailed run it approximates.
+// that differ only in those share one cache slot. SampleDetailCycles and
+// SamplePeriod are present: a sampled report is an estimate, never
+// interchangeable with the detailed run it approximates.
 type runKey struct {
 	bench        string
 	scheduler    config.SchedulerKind
@@ -155,7 +154,6 @@ type runKey struct {
 	auxBO        bool
 	seed         uint64
 	scale        float64
-	relaxed      int
 	sampleDetail int
 	samplePeriod int
 }
@@ -176,7 +174,6 @@ func makeRunKey(bench string, cfg config.Config, scale float64) runKey {
 		auxBO:        cfg.BlackoutAux,
 		seed:         cfg.Seed,
 		scale:        scale,
-		relaxed:      cfg.EpochRelaxedCycles,
 		sampleDetail: cfg.SampleDetailCycles,
 		samplePeriod: cfg.SamplePeriod,
 	}
@@ -189,10 +186,10 @@ func makeRunKey(bench string, cfg config.Config, scale float64) runKey {
 // scale uses the shortest exact round-trip form, like the fingerprints.
 func (k runKey) canonical() string {
 	return fmt.Sprintf(
-		"wg-job v2 bench=%s sched=%s gate=%s adaptive=%t idle=%d bet=%d wake=%d sms=%d clusters=%d maxhold=%d auxbo=%t seed=%d scale=%s relaxed=%d sample=%d/%d",
+		"wg-job v3 bench=%s sched=%s gate=%s adaptive=%t idle=%d bet=%d wake=%d sms=%d clusters=%d maxhold=%d auxbo=%t seed=%d scale=%s sample=%d/%d",
 		k.bench, k.scheduler, k.gating, k.adaptive, k.idleDetect, k.breakEven,
 		k.wakeup, k.numSMs, k.clusters, k.maxHold, k.auxBO, k.seed,
-		fmtFloat(k.scale), k.relaxed, k.sampleDetail, k.samplePeriod)
+		fmtFloat(k.scale), k.sampleDetail, k.samplePeriod)
 }
 
 // JobKey returns the canonical durable-store key for one job at the given
@@ -390,13 +387,6 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Config) 
 	gpu, err := sim.NewGPU(cfg, k)
 	if err != nil {
 		return nil, fmt.Errorf("core: building GPU for %s: %w", bench, err)
-	}
-	// A context carrying a worker-lease pool (planted by RunManyCtx under
-	// SchedAdaptive, or by an external driver) lets this run absorb idle
-	// budget as extra intra-run workers. Sampled runs ignore the pool — they
-	// must stay on the serial engine.
-	if p := workerLeasesFrom(ctx); p != nil {
-		gpu.SetWorkerPool(p)
 	}
 	var finish func(*sim.Report) error
 	if r.Instrument != nil {

@@ -1,29 +1,21 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
-
-	"warpedgates/internal/sim"
 )
 
-// SchedMode selects how the runner's parallel entry points order and
-// provision jobs. Scheduling can never change a result — every job is
+// SchedMode selects how the runner's parallel entry points order jobs. Scheduling can never change a result — every job is
 // deterministic and results are positional — so the mode is not part of any
 // cache key; it trades wall time only.
 type SchedMode uint8
 
 const (
-	// SchedAdaptive, the default, is the makespan-aware two-level schedule:
-	// jobs are admitted longest-predicted-first (LPT, by the cost model), and
-	// job-level workers that drain while others still run lend their budget
-	// to the running simulations as extra intra-run workers (tail
-	// reallocation, absorbed by the engine at epoch boundaries).
+	// SchedAdaptive, the default, admits jobs longest-predicted-first (LPT,
+	// by the cost model), so the longest simulations do not start last and
+	// stretch the batch's tail.
 	SchedAdaptive SchedMode = iota
-	// SchedStatic is the pre-cost-model behavior: submission order, fixed
-	// budget split, no reallocation.
+	// SchedStatic is the pre-cost-model behavior: submission order.
 	SchedStatic
 )
 
@@ -50,70 +42,6 @@ func ParseSchedMode(s string) (SchedMode, error) {
 	return 0, fmt.Errorf("core: unknown sched mode %q (want adaptive or static)", s)
 }
 
-// WorkerLeases is a token pool implementing sim.WorkerPool: each token is one
-// core's worth of parallelism a drained job-level worker handed back. Running
-// simulations absorb tokens as extra intra-run workers at their next epoch
-// boundary and return them when they finish, so tokens migrate between jobs
-// until the whole batch drains. Safe for concurrent use.
-type WorkerLeases struct {
-	tokens atomic.Int64
-}
-
-// NewWorkerLeases builds a pool holding n initial tokens (surplus budget the
-// batch could not use as job-level workers, e.g. fewer jobs than cores).
-func NewWorkerLeases(n int) *WorkerLeases {
-	p := &WorkerLeases{}
-	if n > 0 {
-		p.tokens.Store(int64(n))
-	}
-	return p
-}
-
-// TryAcquire implements sim.WorkerPool.
-func (p *WorkerLeases) TryAcquire(max int) int {
-	for {
-		cur := p.tokens.Load()
-		if cur <= 0 || max <= 0 {
-			return 0
-		}
-		n := int64(max)
-		if n > cur {
-			n = cur
-		}
-		if p.tokens.CompareAndSwap(cur, cur-n) {
-			return int(n)
-		}
-	}
-}
-
-// Release implements sim.WorkerPool.
-func (p *WorkerLeases) Release(n int) {
-	if n > 0 {
-		p.tokens.Add(int64(n))
-	}
-}
-
-// Tokens returns the currently idle token count (for tests and diagnostics).
-func (p *WorkerLeases) Tokens() int { return int(p.tokens.Load()) }
-
-// leasesKey carries a *WorkerLeases through a job context into the runner's
-// simulate step, which installs it on the GPU.
-type leasesKey struct{}
-
-// WithWorkerLeases returns a context whose simulations may borrow extra
-// intra-run workers from the pool. RunManyCtx plants one automatically under
-// SchedAdaptive; external drivers (the sweep engine) share a pool across
-// their own worker sets the same way.
-func WithWorkerLeases(ctx context.Context, p *WorkerLeases) context.Context {
-	return context.WithValue(ctx, leasesKey{}, p)
-}
-
-// workerLeasesFrom extracts the pool, nil when absent.
-func workerLeasesFrom(ctx context.Context) *WorkerLeases {
-	p, _ := ctx.Value(leasesKey{}).(*WorkerLeases)
-	return p
-}
-
 // lptOrder returns job indices sorted by descending predicted cost — the LPT
 // admission order. The sort is stable, so equal predictions keep submission
 // order and the schedule is deterministic for a fixed model state.
@@ -127,6 +55,3 @@ func lptOrder(pred []float64) []int {
 	})
 	return order
 }
-
-// statically assert WorkerLeases satisfies the engine's pool contract.
-var _ sim.WorkerPool = (*WorkerLeases)(nil)

@@ -62,28 +62,6 @@ func TestLPTOrder(t *testing.T) {
 	}
 }
 
-// TestWorkerLeases pins the token-pool semantics: partial grants, exhaustion,
-// and release making tokens reusable.
-func TestWorkerLeases(t *testing.T) {
-	p := NewWorkerLeases(3)
-	if got := p.TryAcquire(2); got != 2 {
-		t.Fatalf("TryAcquire(2) = %d, want 2", got)
-	}
-	if got := p.TryAcquire(5); got != 1 {
-		t.Fatalf("TryAcquire(5) on 1 token = %d, want 1", got)
-	}
-	if got := p.TryAcquire(1); got != 0 {
-		t.Fatalf("TryAcquire on empty pool = %d, want 0", got)
-	}
-	p.Release(2)
-	if got := p.Tokens(); got != 2 {
-		t.Fatalf("Tokens after release = %d, want 2", got)
-	}
-	if got := NewWorkerLeases(-4).TryAcquire(1); got != 0 {
-		t.Fatalf("negative seed granted %d tokens, want 0", got)
-	}
-}
-
 // costTestModel builds a model over a tiny synthetic table at the standard
 // calibration point.
 func costTestModel() *CostModel {
@@ -192,7 +170,7 @@ func TestCostTableCommittedFresh(t *testing.T) {
 }
 
 // schedRunner builds a fresh small-matrix runner in the given mode, with
-// intra-run workers so the adaptive path seeds a lease pool.
+// iw intra-run workers per simulation.
 func schedRunner(mode SchedMode, par, iw int) *Runner {
 	base := config.Small()
 	base.IntraRunWorkers = iw
@@ -205,8 +183,8 @@ func schedRunner(mode SchedMode, par, iw int) *Runner {
 
 // TestRunManyAdaptiveMatchesStatic is the tentpole's correctness contract at
 // the job level: the same batch run under the adaptive schedule (LPT order,
-// tail reallocation absorbing drained workers' budget mid-run) and under the
-// static split produces fingerprint-identical reports in identical positions.
+// two intra-run workers per job) and under static order on the serial engine
+// produces fingerprint-identical reports in identical positions.
 // Fresh runners per mode, so nothing is shared through a cache.
 func TestRunManyAdaptiveMatchesStatic(t *testing.T) {
 	jobs := techniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline, WarpedGates)
@@ -253,8 +231,7 @@ func TestRunManyAdaptiveFailFast(t *testing.T) {
 
 // TestGoldenMatrixSchedStable is the byte-stability acceptance check for the
 // scheduler: the full 108-cell corpus renders identically under the static
-// split and the adaptive schedule (which reorders dispatch and grows workers
-// at the tail). The committed corpus itself is pinned by
+// order and the adaptive schedule (which reorders dispatch). The committed corpus itself is pinned by
 // TestGoldenMatrixCorpus; this proves the mode cannot move a byte.
 func TestGoldenMatrixSchedStable(t *testing.T) {
 	if testing.Short() {

@@ -167,7 +167,7 @@ func TestAPITable(t *testing.T) {
 			path:       "/v1/jobs",
 			body:       smallJob,
 			wantStatus: http.StatusAccepted,
-			wantBody:   []string{`"key": "wg-job v2 bench=hotspot`, `"bench": "hotspot"`, `"technique": "WarpedGates"`},
+			wantBody:   []string{`"key": "wg-job v3 bench=hotspot`, `"bench": "hotspot"`, `"technique": "WarpedGates"`},
 		},
 		{
 			name: "duplicate submit collapses onto one simulation",

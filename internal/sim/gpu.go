@@ -19,7 +19,6 @@ type GPU struct {
 	kernel *kernels.Kernel
 	sms    []*SM
 	gmem   *mem.GPUMem
-	pool   WorkerPool // optional lender of extra intra-run workers
 	cycle  int64
 	ranOut bool // MaxCycles hit before the workload drained
 }
@@ -59,11 +58,8 @@ func (g *GPU) canceled(ctx context.Context) error {
 
 // RunCtx executes the workload to completion (or cfg.MaxCycles) and returns
 // the final report. With cfg.IntraRunWorkers > 1 the phase-split parallel
-// engine (runParallel) steps the SM array on several goroutines; in exact
-// mode its results are bit-identical to the serial loop below. Relaxed mode
-// (cfg.EpochRelaxedCycles > 0) always uses the windowed engine — even with
-// one worker — because its windows, not the worker count, define the result:
-// any worker count then reproduces the same relaxed run byte for byte.
+// engine (runParallel) steps the SM array on several goroutines; its results
+// are bit-identical to the serial loop below.
 //
 // Cancellation is polled at epoch boundaries: once per device step in the
 // serial loop and once per barrier round in the parallel engine, so a
@@ -78,7 +74,7 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 	// of the runner's cache key, so a sampled result must not depend on it,
 	// and the splice points need the single globally ordered clock.
 	smp := newSampler(g)
-	if w := g.workerCount(); smp == nil && (w > 1 || g.cfg.EpochRelaxedCycles > 0 || g.pool != nil) {
+	if w := g.workerCount(); smp == nil && w > 1 {
 		return g.runParallel(ctx, w)
 	}
 	// Completion is event-driven rather than scanned: an SM flips its drained
@@ -159,28 +155,6 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 func (g *GPU) workerCount() int {
 	return g.cfg.EffectiveIntraRunWorkers()
 }
-
-// WorkerPool lends additional intra-run workers to a running simulation. The
-// parallel engine polls TryAcquire each time its coordinator opens a compute
-// window and grows its worker population by whatever was granted (capped at
-// NumSMs), returning every lease with Release when the run exits. Worker
-// count never affects results, so a pool cannot either — it only moves idle
-// cores into still-running simulations. Implementations must be safe for
-// concurrent use by many runs.
-type WorkerPool interface {
-	// TryAcquire takes up to max leases without blocking and returns how many
-	// were granted (possibly zero).
-	TryAcquire(max int) int
-	// Release hands n leases back.
-	Release(n int)
-}
-
-// SetWorkerPool installs a lender of extra intra-run workers. A GPU with a
-// pool always runs on the parallel engine (even at one configured worker) so
-// leases granted mid-run can be absorbed at the next epoch boundary; sampled
-// runs are the exception — they stay on the serial engine and ignore the
-// pool, because their splice points need the single globally ordered clock.
-func (g *GPU) SetWorkerPool(p WorkerPool) { g.pool = p }
 
 // Cycle returns the current simulated cycle.
 func (g *GPU) Cycle() int64 { return g.cycle }

@@ -16,16 +16,15 @@ import (
 // The engine alternates two kinds of phases, separated by a sense-reversing
 // barrier whose last arriver runs a short coordinator section (advance).
 //
-// Compute phase. Workers step disjoint SM sets. By default the sets are not
-// fixed shards: each window, workers claim SM indices one at a time from a
-// shared atomic counter (reset by the coordinator when it opens the window),
-// so a worker whose claimed SMs all fast-forwarded or drained keeps claiming
-// live SMs instead of spinning at the barrier while another worker steps a
-// long shard alone. Claiming only decides *which goroutine* steps an SM —
-// every per-SM observable (pos, pendingAt, staged ops) lives in per-SM slots
-// written solely by the claiming worker within the window and handed across
-// the barrier, so any claim interleaving produces byte-identical results.
-// cfg.DisableShardSteal restores the fixed contiguous shards. Each SM runs at
+// Compute phase. Workers step disjoint SM sets, but not fixed shards: each
+// window, workers claim SM indices one at a time from a shared atomic counter
+// (reset by the coordinator when it opens the window), so a worker whose
+// claimed SMs all fast-forwarded or drained keeps claiming live SMs instead of
+// spinning at the barrier while another worker steps a long shard alone.
+// Claiming only decides *which goroutine* steps an SM — every per-SM
+// observable (pos, pendingAt, staged ops) lives in per-SM slots written solely
+// by the claiming worker within the window and handed across the barrier, so
+// any claim interleaving produces byte-identical results. Each SM runs at
 // its own position pos[i] through a window of up to winEnd: sm.step touches
 // only SM-private state (warp tables, pipes, gating controllers, L1, MSHR)
 // and *stages* global-memory requests on its port (sm.memStage) instead of
@@ -56,31 +55,9 @@ import (
 // before — it touches nothing outside its SM once memory is staged, its
 // return value never depends on memory resolution, and everything resolution
 // patches is only read by a later step — plus the bank partition's exactness
-// (see mem.GPUMem) and the frontier ordering rule above.
-//
-// Worker growth. A run handed a WorkerPool (GPU.SetWorkerPool) may gain
-// workers while it runs: each time the coordinator opens a compute window it
-// polls the pool, and for every lease granted it spawns a joiner goroutine
-// parameterized with the epoch value that opens the window. The joiner spins
-// until the epoch reaches that value and then enters the normal worker loop,
-// so it participates in exactly the phases the incremented worker count
-// expects — the barrier count and the worker population change atomically at
-// one epoch boundary, never mid-phase. Growth re-partitions claim order and
-// bank ranges only; like stealing it cannot move any op's resolve cycle, so
-// results stay byte-identical at any allocation history. Leases are returned
-// to the pool when the run exits.
-//
-// Relaxed mode (cfg.EpochRelaxedCycles = R > 0) trades exactness for fewer
-// barriers: SMs do not park on device staging but run freely through a
-// window of R cycles, and every window ends with one arbitration phase that
-// drains all staged ops in (SM id, staging index) order, each op at its own
-// staging cycle. Device access *interleaving across SMs* within a window can
-// therefore differ from serial by at most R cycles — the quantified error
-// bound — while each SM's own stream stays internally exact. Windows are cut
-// at deterministic cycles (frontier + R), so relaxed runs are reproducible
-// and independent of worker count; R ≤ L1HitLatency (config.Validate)
-// guarantees every staged access completes at or after its window's end, so
-// deferred writebacks are always booked ahead of the retire-ring scan.
+// (see mem.GPUMem) and the frontier ordering rule above. The worker count is
+// fixed at launch; it moves claim order and bank ranges only, never an op's
+// resolve cycle.
 
 // spinYield is how many barrier polls a worker burns before yielding the
 // processor. Small enough to stay polite on oversubscribed machines, large
@@ -93,23 +70,21 @@ type parOp int32
 
 const (
 	opCompute parOp = iota // step SM shards through the window
-	opResolve              // drain resolveList's staged ops, bank-sharded
+	opResolve              // drain the resolve set's staged ops, bank-sharded
 	opExit                 // run over; workers return
 )
 
 // shardResult is one worker's per-compute-phase contribution, padded to a
-// cache line so workers never write-share: how many of its SMs drained, the
-// latest cycle one drained at, and whether any parked on a staged device
-// access (the flag that tells the coordinator an arbitration phase is due).
+// cache line so workers never write-share: how many of its SMs drained and
+// the latest cycle one drained at.
 type shardResult struct {
 	drained  int64
 	maxDrain int64
-	staged   bool
-	_        [47]byte
+	_        [48]byte
 }
 
 // parRun is the shared state of one parallel run. The scalar fields and
-// resolveList are owned by the coordinator section; workers read them only
+// the resolve set are owned by the coordinator section; workers read them only
 // after observing the epoch advance that the coordinator precedes. pos,
 // pendingAt and needFinal slots are handed back and forth between an SM's
 // owning worker and the coordinator across the same barrier.
@@ -121,20 +96,10 @@ type parRun struct {
 	ctxDone  <-chan struct{}
 	canceled bool
 
-	// workers is the current worker population. It is written only inside the
-	// coordinator section (growth) but read in the barrier hot path by every
-	// worker, concurrently with that write, so it is atomic.
-	workers    atomic.Int32
-	maxWorkers int32      // growth ceiling: len(g.sms)
-	pool       WorkerPool // nil = fixed allocation
-	acquired   int        // pool leases held, returned after the run
-	wg         *sync.WaitGroup
-
+	workers   int32 // worker population, fixed at launch
 	maxCycles int64
-	batch     int64 // exact-mode window length (cfg.EffectiveBatchCycles)
-	relax     int64 // relaxed-mode window length, 0 = exact
+	batch     int64 // compute window length (cfg.EffectiveBatchCycles)
 	nBanks    int
-	steal     bool // claim SM indices per window instead of fixed shards
 	shards    []shardResult
 
 	arrived atomic.Int32
@@ -152,7 +117,7 @@ type parRun struct {
 	resolve   []int32 // SM ids to drain this arbitration phase, canonical order
 
 	// resolvePorts mirrors resolve as memory ports (same order); it is the
-	// merge input for the bank phase, built by the coordinator when it
+	// input of the bank phase, built by the coordinator when it
 	// schedules opResolve.
 	resolvePorts []*mem.SMPort
 
@@ -174,61 +139,38 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 	}
 	var canceled bool
 	if live > 0 {
-		maxW := len(g.sms)
 		pr := &parRun{
-			g:          g,
-			ctxDone:    ctx.Done(),
-			maxWorkers: int32(maxW),
-			pool:       g.pool,
-			maxCycles:  int64(g.cfg.MaxCycles),
-			batch:      int64(g.cfg.EffectiveBatchCycles()),
-			relax:      int64(g.cfg.EpochRelaxedCycles),
-			nBanks:     g.gmem.NumBanks(),
-			steal:      !g.cfg.DisableShardSteal,
-			shards:     make([]shardResult, maxW),
-			pos:        make([]int64, len(g.sms)),
-			pendingAt:  make([]int64, len(g.sms)),
-			needFinal:  make([]bool, len(g.sms)),
-			live:       live,
-			maxDrain:   -1,
-		}
-		// A pool may top the allocation up before the first window too: jobs
-		// admitted when the job queue is already shorter than the worker
-		// budget start with the surplus instead of waiting for a boundary.
-		if pr.pool != nil && workers < maxW {
-			if got := pr.pool.TryAcquire(maxW - workers); got > 0 {
-				pr.acquired += got
-				workers += got
-			}
-		}
-		pr.workers.Store(int32(workers))
-		win := pr.batch
-		if pr.relax > 0 {
-			win = pr.relax
+			g:         g,
+			ctxDone:   ctx.Done(),
+			workers:   int32(workers),
+			maxCycles: int64(g.cfg.MaxCycles),
+			batch:     int64(g.cfg.EffectiveBatchCycles()),
+			nBanks:    g.gmem.NumBanks(),
+			shards:    make([]shardResult, workers),
+			pos:       make([]int64, len(g.sms)),
+			pendingAt: make([]int64, len(g.sms)),
+			needFinal: make([]bool, len(g.sms)),
+			live:      live,
+			maxDrain:  -1,
 		}
 		for i := range g.sms {
 			pr.pos[i] = g.cycle
 			pr.pendingAt[i] = -1
 		}
-		pr.winEnd = g.cycle + win
+		pr.winEnd = g.cycle + pr.batch
 		if pr.maxCycles > 0 && pr.winEnd > pr.maxCycles {
 			pr.winEnd = pr.maxCycles
 		}
 		var wg sync.WaitGroup
-		pr.wg = &wg
-		start := pr.epoch.Load()
 		for w := 1; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				pr.worker(w, start)
+				pr.worker(w)
 			}(w)
 		}
-		pr.worker(0, start)
+		pr.worker(0)
 		wg.Wait()
-		if pr.pool != nil && pr.acquired > 0 {
-			pr.pool.Release(pr.acquired)
-		}
 		canceled = pr.canceled
 	}
 	for _, sm := range g.sms {
@@ -244,25 +186,25 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 }
 
 // worker runs whichever phase the coordinator scheduled — claiming SM
-// indices from the shared steal counter (or stepping the fixed contiguous
-// shard [w*n/W, (w+1)*n/W) with stealing disabled) in compute phases, and
-// draining the bank range [w*B/W, (w+1)*B/W) in arbitration phases. The last
-// worker to arrive at the barrier runs the coordinator section and releases
-// the others by advancing the epoch. sentinel is the epoch value that opened
-// the worker's first phase: 0 for the initial population, the joining epoch
-// for workers a pool grew in later. Ranges are recomputed per phase because
-// growth changes W at epoch boundaries.
-func (pr *parRun) worker(w int, sentinel uint32) {
-	n := len(pr.g.sms)
-	cur := make([]int32, n) // bank-merge cursors, one slot per possible port
+// indices from the shared steal counter in compute phases, and draining the
+// bank range [w*B/W, (w+1)*B/W) in arbitration phases. The last worker to
+// arrive at the barrier runs the coordinator section and releases the others
+// by advancing the epoch.
+func (pr *parRun) worker(w int) {
+	W := int(pr.workers)
+	var sentinel uint32
 	for {
 		if pr.op == opCompute {
 			pr.compute(w)
 		} else {
-			W := int(pr.workers.Load())
-			pr.resolveBanks(w*pr.nBanks/W, (w+1)*pr.nBanks/W, cur)
+			// Banks share no state, so workers drain their ranges without
+			// synchronization; per-op outcomes land in each port's own
+			// buffers at disjoint indices.
+			for b := w * pr.nBanks / W; b < (w+1)*pr.nBanks/W; b++ {
+				mem.ResolveBank(pr.resolvePorts, b)
+			}
 		}
-		if pr.arrived.Add(1) == pr.workers.Load() {
+		if pr.arrived.Add(1) == pr.workers {
 			pr.advance()
 			pr.arrived.Store(0)
 			pr.epoch.Add(1)
@@ -280,43 +222,31 @@ func (pr *parRun) worker(w int, sentinel uint32) {
 	}
 }
 
-// join is the entry point of a worker the coordinator grew in mid-run: it
-// waits for the epoch that opens the compute window it was hired for, then
-// runs the normal loop.
-func (pr *parRun) join(w int, start uint32) {
-	defer pr.wg.Done()
-	for spins := 0; pr.epoch.Load() != start; spins++ {
-		if spins >= spinYield {
-			runtime.Gosched()
-		}
-	}
-	pr.worker(w, start)
-}
-
-// compute steps SMs through the current window — claimed one at a time from
-// the shared steal index, or the worker's fixed shard with stealing off. Each
-// SM first books writebacks left from the previous arbitration phase
-// (finishMemory), then steps from its own position until the window ends, it
-// drains, or — in exact mode — it stages a device access and parks. Pure-L1
-// staging cycles are finished inline: they read nothing shared, and the merge
-// fills they look up cannot be unpatched sentinels because the SM parks
-// (exact) or the window drains (relaxed) before any unresolved device op
-// could linger.
+// compute steps SMs through the current window, claimed one at a time from
+// the shared steal index. Each SM first books writebacks left from the
+// previous arbitration phase (finishMemory), then steps from its own position
+// until the window ends, it drains, or it stages a device access and parks.
+// Pure-L1 staging cycles are finished inline: they read nothing shared, and
+// the merge fills they look up cannot be unpatched sentinels because the SM
+// parks before any unresolved device op could linger.
 func (pr *parRun) compute(w int) {
 	g := pr.g
 	end := pr.winEnd
-	relax := pr.relax > 0
+	n := len(g.sms)
 	var drained int64
 	maxDrain := int64(-1)
-	anyStaged := false
-	stepSM := func(i int) {
+	for {
+		i := int(pr.claim.Add(1)) - 1
+		if i >= n {
+			break
+		}
 		sm := g.sms[i]
 		if pr.needFinal[i] {
 			pr.needFinal[i] = false
 			sm.finishMemory()
 		}
 		if sm.drained || pr.pendingAt[i] >= 0 {
-			return
+			continue
 		}
 		c := pr.pos[i]
 		for c < end {
@@ -325,10 +255,9 @@ func (pr *parRun) compute(w int) {
 			if len(sm.stagedRet) > 0 && !sm.memPort.HasStagedDevice() {
 				sm.finishMemory()
 			}
-			parked := !relax && sm.memPort.HasStagedDevice()
+			parked := sm.memPort.HasStagedDevice()
 			if parked {
 				pr.pendingAt[i] = stepped
-				anyStaged = true
 			}
 			if sm.drained {
 				drained++
@@ -341,44 +270,10 @@ func (pr *parRun) compute(w int) {
 				break
 			}
 		}
-		if relax && sm.memPort.HasStagedDevice() {
-			pr.pendingAt[i] = sm.stagedRet[0].at
-			anyStaged = true
-		}
 		pr.pos[i] = c
 	}
-	n := len(g.sms)
-	if pr.steal {
-		for {
-			i := int(pr.claim.Add(1)) - 1
-			if i >= n {
-				break
-			}
-			stepSM(i)
-		}
-	} else {
-		W := int(pr.workers.Load())
-		for i := w * n / W; i < (w+1)*n/W; i++ {
-			stepSM(i)
-		}
-	}
 	s := &pr.shards[w]
-	s.drained, s.maxDrain, s.staged = drained, maxDrain, anyStaged
-}
-
-// resolveBanks drains the scheduled SMs' staged device ops for the worker's
-// bank range. Within each bank, the ports' cycle-sorted op lists are merged
-// so ops replay in ascending (staging cycle, SM id, staging index) — exactly
-// the per-bank projection of the serial engine's device access order. (In
-// exact mode every scheduled op shares one cycle, pmin; in relaxed mode the
-// window's ops span up to R cycles and the merge is what keeps DRAM queue
-// accounting in cycle order.) Banks share no state, so workers proceed
-// without synchronization; per-op outcomes land in each port's own buffers
-// at disjoint indices. cur is the worker's merge-cursor scratch.
-func (pr *parRun) resolveBanks(bankLo, bankHi int, cur []int32) {
-	for b := bankLo; b < bankHi; b++ {
-		mem.ResolveBankOrdered(pr.resolvePorts, b, cur)
-	}
+	s.drained, s.maxDrain = drained, maxDrain
 }
 
 // advance is the coordinator section, run once per barrier with every worker
@@ -440,27 +335,19 @@ func (pr *parRun) advance() {
 			}
 		}
 		if pendingN > 0 {
-			// Exact mode drains only the ops at the earliest parked cycle:
-			// no unparked SM can stage at or before it (frontier), and every
-			// other parked SM resumes after its own later cycle — whereas a
+			// Drain only the ops at the earliest parked cycle: no unparked
+			// SM can stage at or before it (frontier), and every other
+			// parked SM resumes after its own later cycle — whereas a
 			// later-cycle op is not safe yet, because the SM parked at pmin
-			// resumes at pmin+1 and may stage again in between. Relaxed mode
-			// drains everything: windows end with no carry-over, and the
-			// bounded reordering is the mode's contract.
-			if pr.relax > 0 {
-				for i := range g.sms {
-					if pr.pendingAt[i] >= 0 {
-						pr.resolve = append(pr.resolve, int32(i))
-					}
-				}
-			} else if pmin < frontier {
+			// resumes at pmin+1 and may stage again in between.
+			if pmin < frontier {
 				for i := range g.sms {
 					if pr.pendingAt[i] == pmin {
 						pr.resolve = append(pr.resolve, int32(i))
 					}
 				}
 			}
-			if len(pr.resolve) == 1 && pr.relax == 0 {
+			if len(pr.resolve) == 1 {
 				// One parked SM: a bank phase would spend a barrier round to
 				// parallelize work one goroutine can do here in place.
 				idx := pr.resolve[0]
@@ -497,11 +384,7 @@ func (pr *parRun) advance() {
 			return
 		}
 		g.cycle = frontier
-		win := pr.batch
-		if pr.relax > 0 {
-			win = pr.relax
-		}
-		end := frontier + win
+		end := frontier + pr.batch
 		if pendingN > 0 && pmin+1 < end {
 			// An SM is still parked beyond the frontier: its ops unblock the
 			// moment every other SM passes its cycle, so stop the window
@@ -512,26 +395,6 @@ func (pr *parRun) advance() {
 		}
 		if pr.maxCycles > 0 && end > pr.maxCycles {
 			end = pr.maxCycles
-		}
-		// A compute window is about to open: this is the only point worker
-		// growth happens. Lease whatever the pool can spare up to the SM
-		// count, spawn the joiners parameterized with the epoch that opens
-		// this window, and publish the bigger population — the joiners enter
-		// exactly when the current workers do, so the barrier count and the
-		// worker set change together at one epoch boundary.
-		if pr.pool != nil {
-			if room := int(pr.maxWorkers - pr.workers.Load()); room > 0 {
-				if got := pr.pool.TryAcquire(room); got > 0 {
-					pr.acquired += got
-					w0 := int(pr.workers.Load())
-					start := pr.epoch.Load() + 1
-					for k := 0; k < got; k++ {
-						pr.wg.Add(1)
-						go pr.join(w0+k, start)
-					}
-					pr.workers.Store(int32(w0 + got))
-				}
-			}
 		}
 		pr.claim.Store(0)
 		pr.winEnd = end

@@ -33,9 +33,7 @@ type Engine struct {
 	MaxWallTime time.Duration
 	// Sched selects the cell scheduling mode, passed to the runners and
 	// applied to the engine's own cell pool: adaptive (the zero value) admits
-	// cells longest-predicted-first and lends drained workers' budget to
-	// still-running cells as extra intra-run workers; static keeps expansion
-	// order and a fixed split. Either way the report rows are sorted by
+	// cells longest-predicted-first; static keeps expansion order. Either way the report rows are sorted by
 	// canonical key, so sweep output is byte-identical across modes.
 	Sched core.SchedMode
 	// Progress, when non-nil, is called after each cell completes (from
@@ -171,15 +169,12 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) (*Report, error) {
 	}
 
 	// Adaptive scheduling, as in core.RunManyCtx: LPT admission by predicted
-	// cost, and an elastic tail — surplus budget plus every drained worker's
-	// share becomes lease tokens that still-running cells absorb as extra
-	// intra-run workers. Report rows are key-sorted, so the mode cannot
-	// change output bytes.
+	// cost. Report rows are key-sorted, so the mode cannot change output
+	// bytes.
 	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
 	}
-	var leases *core.WorkerLeases
 	if e.Sched == core.SchedAdaptive && workers > 1 {
 		cost := core.DefaultCostModel()
 		pred := make([]float64, len(cells))
@@ -187,8 +182,6 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) (*Report, error) {
 			pred[i] = cost.Predict(c.Bench, c.Config(e.Base), c.Scale)
 		}
 		sort.SliceStable(order, func(a, b int) bool { return pred[order[a]] > pred[order[b]] })
-		leases = core.NewWorkerLeases(budget - workers*iw)
-		ctx = core.WithWorkerLeases(ctx, leases)
 	}
 
 	next := make(chan int)
@@ -207,9 +200,6 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if leases != nil {
-				defer leases.Release(iw)
-			}
 			for i := range next {
 				results[i] = e.runCell(ctx, cells[i])
 				if e.Progress != nil {

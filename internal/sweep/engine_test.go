@@ -99,9 +99,8 @@ func TestSweepEndToEndStoreDedup(t *testing.T) {
 
 // TestSweepSchedModesIdentical is the scheduler acceptance check at sweep
 // scale: the full 864-cell grid produces row-for-row identical reports under
-// the static split and the adaptive two-level schedule at several worker
-// shapes (including intra-run workers, which under adaptive seed a lease pool
-// that grows running cells mid-sweep). Cold engines, no store — every run
+// static expansion order and adaptive LPT order at several worker shapes,
+// including intra-run workers on the parallel engine. Cold engines, no store — every run
 // simulates everything — so equality is a property of the simulations, not a
 // shared cache.
 func TestSweepSchedModesIdentical(t *testing.T) {
