@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-short bench-compare bench-history bench-go calibrate check verify store-faults serve-test sweep-test ci
+.PHONY: build test race vet bench bench-short bench-compare bench-history bench-go calibrate check verify store-faults fuzz serve-test sweep-test ci
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,13 @@ store-faults:
 	$(GO) test -race ./internal/store/ ./internal/faultfs/
 	$(GO) test -race -run 'TestRunCtx|TestMaxWall|TestRunMany|TestPanic|TestLRU|TestSingleflight|TestRunnerStore' ./internal/core/
 
+# Bounded fuzzing of the two decoders that read bytes back from disk: the
+# store entry header parser and the report payload codec. Neither may panic,
+# and whatever they accept must round-trip through its encoder.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime 15s ./internal/sim/
+
 # The HTTP service suite under the race detector: the table-driven API
 # contract (status codes, quota/backpressure 429s, drain 503s), the
 # end-to-end lifecycle test (served report bytes equal direct simulation,
@@ -116,4 +123,4 @@ sweep-test:
 	$(GO) test -race -run 'TestSampled' ./internal/sim/
 	$(GO) test -race -run 'TestSweep|TestSampledJob' ./internal/serve/
 
-ci: build vet test race verify store-faults serve-test sweep-test
+ci: build vet test race verify store-faults fuzz serve-test sweep-test

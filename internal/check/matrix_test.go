@@ -51,8 +51,8 @@ func TestCheckedMatrix(t *testing.T) {
 // TestCheckedMatrixIntraRunWorkers re-runs the checked matrix with the
 // phase-split parallel engine stepping SMs on multiple goroutines
 // (IntraRunWorkers = NumSMs, one SM per worker), with a deliberately odd
-// batch size and a non-default bank count so the batched windows and the
-// bank-sharded arbitration phase both run under the checker. Every invariant
+// batch size so the batched windows and the coordinator's resolve of several
+// SMs parked at one cycle both run under the checker. Every invariant
 // must still hold — the checker's per-SM shards see each SM's own stream,
 // which batching leaves untouched — and the reports must fingerprint
 // identical to the serial engine's. Under `go test -race` this is the
@@ -61,7 +61,6 @@ func TestCheckedMatrixIntraRunWorkers(t *testing.T) {
 	base := config.Small()
 	base.IntraRunWorkers = base.NumSMs
 	base.BatchCycles = 7
-	base.MemBanks = 2
 	var sum check.Summary
 	r := checkedRunner(base, matrixScale, &sum)
 	serial := checkedRunner(config.Small(), matrixScale, nil)

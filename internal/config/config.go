@@ -135,27 +135,16 @@ type Config struct {
 	DisableFastForward bool
 
 	// --- Intra-run parallel engine tuning ---
-	//
-	// BatchCycles and MemBanks tune the exact parallel engine and can never
-	// change a result, only wall-clock time (like IntraRunWorkers they are
-	// excluded from the experiment runner's cache key).
 
 	// BatchCycles bounds how many device cycles workers may step their SM
-	// shards between arbitration points when no shard has a staged global
+	// shards between barrier rounds when no shard has a staged global
 	// access pending. Staging mid-batch stops the staging SM at that cycle,
 	// so any value is bit-identical to the serial engine; the knob only
-	// trades barrier frequency against re-alignment granularity. 0 selects
-	// the default (128, tuned from the bench overhead curve — see
+	// trades barrier frequency against re-alignment granularity, and like
+	// IntraRunWorkers it is excluded from the experiment runner's cache key.
+	// 0 selects the default (128, tuned from the bench overhead curve — see
 	// EXPERIMENTS.md "Parallel-engine tuning data").
 	BatchCycles int
-	// MemBanks shards the device-level L2/DRAM arbitration by address bank
-	// (line % MemBanks) so the resolve phase itself runs on the workers.
-	// Must be a power of two dividing both L2Sets and DRAMSlots, which makes
-	// the per-bank caches and channel queues an exact partition of the
-	// unified model (identical set indexing, identical channel mapping) —
-	// the sharding is timing-invisible at any value. 0 selects the largest
-	// power of two <= 8 that divides both.
-	MemBanks int
 
 	// --- Interval-sampled simulation ---
 	//
@@ -226,21 +215,6 @@ func Small() Config {
 	return c
 }
 
-// EffectiveMemBanks resolves the MemBanks knob: the configured value, or the
-// largest power of two <= 8 that divides both L2Sets and DRAMSlots (falling
-// back to 1, which degenerates to the unified model).
-func (c *Config) EffectiveMemBanks() int {
-	if c.MemBanks > 0 {
-		return c.MemBanks
-	}
-	for b := 8; b > 1; b >>= 1 {
-		if c.L2Sets%b == 0 && c.DRAMSlots%b == 0 {
-			return b
-		}
-	}
-	return 1
-}
-
 // Sampling reports whether interval-sampled simulation is enabled.
 func (c *Config) Sampling() bool { return c.SampleDetailCycles > 0 }
 
@@ -301,12 +275,6 @@ func (c *Config) Validate() error {
 		check(c.IntraRunWorkers >= 0, "IntraRunWorkers must be non-negative, got %d", c.IntraRunWorkers),
 		check(c.GATESMaxHold >= 0, "GATESMaxHold must be non-negative, got %d", c.GATESMaxHold),
 		check(c.BatchCycles >= 0, "BatchCycles must be non-negative, got %d", c.BatchCycles),
-		check(c.MemBanks >= 0, "MemBanks must be non-negative, got %d", c.MemBanks),
-		check(c.MemBanks == 0 || c.MemBanks&(c.MemBanks-1) == 0,
-			"MemBanks must be a power of two, got %d", c.MemBanks),
-		check(c.MemBanks == 0 || (c.L2Sets%c.MemBanks == 0 && c.DRAMSlots%c.MemBanks == 0),
-			"MemBanks (%d) must divide L2Sets (%d) and DRAMSlots (%d) for an exact partition",
-			c.MemBanks, c.L2Sets, c.DRAMSlots),
 		check(c.SampleDetailCycles >= 0, "SampleDetailCycles must be non-negative, got %d", c.SampleDetailCycles),
 		check(c.SamplePeriod >= 0, "SamplePeriod must be non-negative, got %d", c.SamplePeriod),
 		check((c.SampleDetailCycles == 0) == (c.SamplePeriod == 0),

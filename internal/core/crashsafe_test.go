@@ -357,7 +357,7 @@ func TestRunnerStoreDecodeFailureIsMiss(t *testing.T) {
 }
 
 // TestJobKeyAxes pins which configuration axes key the durable store: engine
-// tuning knobs (worker count, batch size, banks, fast-forward) must NOT key —
+// tuning knobs (worker count, batch size, fast-forward) must NOT key —
 // they are result-invariant — while every result-determining axis MUST.
 func TestJobKeyAxes(t *testing.T) {
 	base := config.Small()
@@ -366,7 +366,6 @@ func TestJobKeyAxes(t *testing.T) {
 	invariant := base
 	invariant.IntraRunWorkers = 7
 	invariant.BatchCycles = 99
-	invariant.MemBanks = 3
 	invariant.DisableFastForward = true
 	if got := JobKey("hotspot", invariant, 0.1); got != key {
 		t.Fatalf("engine-tuning axes leaked into the job key:\n %s\n %s", key, got)

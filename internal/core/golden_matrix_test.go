@@ -123,7 +123,7 @@ func TestGoldenMatrixParallelismStable(t *testing.T) {
 // engineTune is one set of exact-engine knobs; none of them may change a
 // result.
 type engineTune struct {
-	workers, batch, banks int
+	workers, batch int
 }
 
 // goldenEngineRunner builds a fresh corpus runner over base, so nothing is
@@ -145,7 +145,7 @@ func checkCorpusEngineStable(t *testing.T, base config.Config, tunes []engineTun
 	}
 	for _, tune := range tunes {
 		cfg := base
-		cfg.IntraRunWorkers, cfg.BatchCycles, cfg.MemBanks = tune.workers, tune.batch, tune.banks
+		cfg.IntraRunWorkers, cfg.BatchCycles = tune.workers, tune.batch
 		par, err := goldenCorpus(goldenEngineRunner(cfg))
 		if err != nil {
 			t.Fatal(err)
@@ -169,10 +169,10 @@ func checkCorpusEngineStable(t *testing.T, base config.Config, tunes []engineTun
 // serial engine and the phase-split parallel engine. It runs on config.Small
 // at workers ∈ {4, NumSMs} with the idle fast-forward both on and off, and on
 // the paper's default GTX480 machine at workers ∈ {2, 15} and with a short
-// batch over a single memory bank — the default machine's 15 SMs and deeper
-// memory pipeline exercise parking and arbitration orders Small never
-// reaches. IntraRunWorkers, BatchCycles and MemBanks are excluded from the
-// cache key precisely because of this equivalence.
+// batch — the default machine's 15 SMs and deeper memory pipeline exercise
+// parking and resolve orders Small never reaches. IntraRunWorkers and
+// BatchCycles are excluded from the cache key precisely because of this
+// equivalence.
 func TestGoldenMatrixIntraRunWorkersStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated full matrices are slow; skipped with -short")
@@ -188,7 +188,7 @@ func TestGoldenMatrixIntraRunWorkersStable(t *testing.T) {
 	}
 	t.Run("GTX480", func(t *testing.T) {
 		checkCorpusEngineStable(t, config.GTX480(), []engineTune{
-			{workers: 2}, {workers: 15}, {workers: 3, batch: 32, banks: 1},
+			{workers: 2}, {workers: 15}, {workers: 3, batch: 32},
 		})
 	})
 }

@@ -134,12 +134,12 @@ type cacheEntry struct {
 	elem     *list.Element
 }
 
-// runKey identifies a unique simulation. IntraRunWorkers, BatchCycles and
-// MemBanks are deliberately absent: the exact parallel engine is bit-identical
-// to the serial one at any worker count, batch size or bank count, so runs
-// that differ only in those share one cache slot. SampleDetailCycles and
-// SamplePeriod are present: a sampled report is an estimate, never
-// interchangeable with the detailed run it approximates.
+// runKey identifies a unique simulation. IntraRunWorkers and BatchCycles are
+// deliberately absent: the exact parallel engine is bit-identical to the
+// serial one at any worker count or batch size, so runs that differ only in
+// those share one cache slot. SampleDetailCycles and SamplePeriod are
+// present: a sampled report is an estimate, never interchangeable with the
+// detailed run it approximates.
 type runKey struct {
 	bench        string
 	scheduler    config.SchedulerKind

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
 
 	"warpedgates/internal/config"
 )
@@ -16,116 +15,57 @@ type Result struct {
 	L2Misses     int
 }
 
-// memBank is one address bank's slice of the device-level memory system: a
-// partition of the unified L2 and the DRAM channels whose index is congruent
-// to the bank, plus that partition's statistics. Banks share no state, so the
-// parallel engine's resolve phase drains different banks on different worker
-// goroutines; the padding keeps the per-bank counters from write-sharing a
-// cache line across workers.
-type memBank struct {
+// GPUMem is the device-level memory system shared by all SMs: a unified L2
+// and a channel-partitioned DRAM model with bounded bandwidth. Access timing
+// is computed at issue time, which keeps the model deterministic and cheap
+// while still producing realistic latency spreads and queueing under load.
+type GPUMem struct {
+	cfg      config.Config
 	l2       *Cache
-	chanFree []int64 // next-free cycle of the channels this bank owns
+	chanFree []int64 // per-DRAM-channel next-free cycle
+	// dramService is the channel occupancy per request; together with the
+	// channel count it sets peak DRAM bandwidth.
+	dramService int64
 
 	l2Accesses uint64
 	l2Misses   uint64
 	dramReqs   uint64
 	queueDelay uint64 // accumulated cycles requests waited for a channel
-
-	_ [64]byte
-}
-
-// GPUMem is the device-level memory system shared by all SMs: a unified L2
-// and a channel-partitioned DRAM model with bounded bandwidth. Access timing
-// is computed at issue time, which keeps the model deterministic and cheap
-// while still producing realistic latency spreads and queueing under load.
-//
-// Internally the state is sharded by address bank (line % banks, a power of
-// two dividing both L2Sets and DRAMSlots). The sharding is an exact partition
-// of the unified model: a line's L2 set and DRAM channel live entirely inside
-// its bank, set grouping and channel mapping are bijective with the unified
-// indexing, and statistics are merged at report time — so serial access order
-// produces bit-identical timing to the pre-sharded implementation, while the
-// parallel engine may drain distinct banks concurrently.
-type GPUMem struct {
-	cfg       config.Config
-	banks     []memBank
-	bankMask  uint64 // banks-1
-	bankShift uint   // log2(banks)
-	// dramService is the channel occupancy per request; together with the
-	// channel count it sets peak DRAM bandwidth.
-	dramService int64
 }
 
 // NewGPUMem builds the device-level memory system for cfg.
 func NewGPUMem(cfg config.Config) *GPUMem {
-	nb := cfg.EffectiveMemBanks()
-	if cfg.L2Sets%nb != 0 || cfg.DRAMSlots%nb != 0 || nb&(nb-1) != 0 {
-		panic(fmt.Sprintf("mem: %d banks do not partition L2Sets=%d DRAMSlots=%d", nb, cfg.L2Sets, cfg.DRAMSlots))
-	}
-	g := &GPUMem{
+	return &GPUMem{
 		cfg:         cfg,
-		banks:       make([]memBank, nb),
-		bankMask:    uint64(nb - 1),
-		bankShift:   uint(bits.TrailingZeros(uint(nb))),
+		l2:          NewCache(cfg.L2Sets, cfg.L2Ways),
+		chanFree:    make([]int64, cfg.DRAMSlots),
 		dramService: 4,
 	}
-	for b := range g.banks {
-		g.banks[b].l2 = NewCache(cfg.L2Sets/nb, cfg.L2Ways)
-		g.banks[b].chanFree = make([]int64, cfg.DRAMSlots/nb)
-	}
-	return g
 }
-
-// NumBanks returns the bank count of the sharded device state.
-func (g *GPUMem) NumBanks() int { return len(g.banks) }
-
-// BankOf returns the bank a line's device state lives in.
-func (g *GPUMem) BankOf(line Line) int { return int(uint64(line) & g.bankMask) }
 
 // AccessLine computes the completion cycle of one line transaction entering
-// the device at cycle now after missing an SM's L1.
+// the device at cycle now after missing an SM's L1. It is the single device
+// access path: both engines reach it only through SMPort.ResolveStaged.
 func (g *GPUMem) AccessLine(now int64, line Line) (completeAt int64, l2Miss bool) {
-	return g.AccessBank(g.BankOf(line), now, line)
-}
-
-// AccessBank is AccessLine against one bank's partition; bank must equal
-// BankOf(line). It is the single device-access path: the serial engine routes
-// through it inline, and the parallel engine's bank workers call it directly,
-// each for a disjoint bank, so the two engines cannot drift.
-//
-// The line is folded by the bank shift before indexing the partition: lines
-// of one bank differ only above the bank bits, so line>>shift is a bijection
-// that maps the unified set index s to the partition set s/banks and the
-// unified channel c to the partition channel c/banks — the same lines meet in
-// the same sets and queues, in the same order, as in the unified model.
-func (g *GPUMem) AccessBank(bank int, now int64, line Line) (completeAt int64, l2Miss bool) {
-	bk := &g.banks[bank]
-	bk.l2Accesses++
-	if bk.l2.Access(line >> g.bankShift) {
+	g.l2Accesses++
+	if g.l2.Access(line) {
 		return now + int64(g.cfg.L2HitLatency), false
 	}
-	bk.l2Misses++
-	bk.dramReqs++
-	ch := int((uint64(line) % uint64(g.cfg.DRAMSlots)) >> g.bankShift)
+	g.l2Misses++
+	g.dramReqs++
+	ch := int(uint64(line) % uint64(len(g.chanFree)))
 	start := now
-	if bk.chanFree[ch] > start {
-		bk.queueDelay += uint64(bk.chanFree[ch] - start)
-		start = bk.chanFree[ch]
+	if g.chanFree[ch] > start {
+		g.queueDelay += uint64(g.chanFree[ch] - start)
+		start = g.chanFree[ch]
 	}
-	bk.chanFree[ch] = start + g.dramService
+	g.chanFree[ch] = start + g.dramService
 	return start + int64(g.cfg.DRAMLatency), true
 }
 
-// Stats returns L2 and DRAM counters, merged across banks.
+// Stats returns L2 and DRAM counters.
 func (g *GPUMem) Stats() (l2Acc, l2Miss, dramReqs, queueDelay uint64) {
-	for b := range g.banks {
-		bk := &g.banks[b]
-		l2Acc += bk.l2Accesses
-		l2Miss += bk.l2Misses
-		dramReqs += bk.dramReqs
-		queueDelay += bk.queueDelay
-	}
-	return
+	return g.l2Accesses, g.l2Misses, g.dramReqs, g.queueDelay
 }
 
 // stagedKind classifies one line of a staged global access for the resolve
@@ -136,22 +76,21 @@ const (
 	stageDevice              // primary miss: send to the device, patch the MSHR
 )
 
-// stagedOp is one line of a staged access that the arbitration phase must
-// still act on. at is the cycle the access was staged; every op of one
-// resolve shares it. For a merge, fill is the outstanding entry's completion
-// cycle captured at stage time, or the pending sentinel when the primary miss
-// sits unresolved in this same buffer, in which case the real value is read
-// after it is patched (a sentinel can never expire).
+// stagedOp is one line of a staged access that the resolve side must still
+// act on. For a merge, fill is the outstanding entry's completion cycle
+// captured at stage time, or the pending sentinel when the primary miss sits
+// unresolved in this same buffer, in which case the real value is read after
+// it is patched (a sentinel can never expire).
 type stagedOp struct {
 	line Line
-	at   int64
 	fill int64
 	kind uint8
 }
 
 // stagedAccess is one warp global access staged during the compute phase: a
 // run of nOps entries in the port's op buffer plus the statistics already
-// known at stage time.
+// known at stage time. at is the cycle the access was staged; its device ops
+// enter the device at that cycle.
 type stagedAccess struct {
 	at           int64
 	nOps         int32
@@ -164,13 +103,10 @@ type stagedAccess struct {
 //
 // Global accesses go through a stage/resolve pair: StageGlobal performs every
 // SM-private effect (L1 fill, MSHR occupancy, merge accounting) and records
-// the lines that need the shared device, and the resolve side replays those
+// the lines that need the shared device, and ResolveStaged replays those
 // lines against the L2/DRAM model. The serial engine resolves immediately
 // after staging (GlobalAccess); the parallel engine stages from worker
-// goroutines and resolves in canonical order — either inline from a serial
-// section (ResolveStaged) or split into a bank phase (ResolveBank, one worker
-// per bank partition, recording per-line outcomes) followed by an SM-local
-// assembly (FinishStaged). All paths share one assembly routine, so the
+// goroutines and resolves from its coordinator in canonical order, so both
 // engines drive the device through the same code in the same order.
 type SMPort struct {
 	cfg  config.Config
@@ -180,19 +116,10 @@ type SMPort struct {
 
 	// Staged-access buffers, reused across cycles (appends allocate only
 	// until the high-water mark is reached, keeping the steady state
-	// allocation-free).
+	// allocation-free). deviceOps counts the staged ops that need the device.
 	stagedOps  []stagedOp
 	stagedAccs []stagedAccess
-
-	// Bank-phase buffers, maintained only when bank staging is enabled (the
-	// parallel engine): per-bank lists of device-op indices, the per-op
-	// outcomes written by bank workers (disjoint indices, so no locking),
-	// and the count of device ops staged since the last resolve.
-	bankStage    bool
-	stagedByBank [][]int32
-	doneAt       []int64
-	doneMiss     []bool
-	deviceOps    int
+	deviceOps  int
 
 	sharedAccesses uint64
 	globalAccesses uint64
@@ -212,24 +139,12 @@ func NewSMPort(cfg config.Config, gpu *GPUMem) *SMPort {
 	}
 }
 
-// SetBankStaging switches the per-bank routing buffers on or off. The
-// parallel engine enables it for the duration of a run; the serial engine
-// leaves it off so GlobalAccess pays nothing for the machinery.
-func (p *SMPort) SetBankStaging(on bool) {
-	p.bankStage = on
-	if on && p.stagedByBank == nil {
-		p.stagedByBank = make([][]int32, p.gpu.NumBanks())
-	}
-	if !on {
-		for b := range p.stagedByBank {
-			p.stagedByBank[b] = p.stagedByBank[b][:0]
-		}
-		p.stagedOps = p.stagedOps[:0]
-		p.stagedAccs = p.stagedAccs[:0]
-		p.doneAt = p.doneAt[:0]
-		p.doneMiss = p.doneMiss[:0]
-		p.deviceOps = 0
-	}
+// DropStaged discards every staged access without resolving it. A canceled
+// parallel run calls it so a port never carries staged ops past its run.
+func (p *SMPort) DropStaged() {
+	p.stagedOps = p.stagedOps[:0]
+	p.stagedAccs = p.stagedAccs[:0]
+	p.deviceOps = 0
 }
 
 // HasStagedDevice reports whether any staged op needs the shared device. A
@@ -300,7 +215,7 @@ func (p *SMPort) StageGlobal(now int64, lines []Line) {
 			// Secondary miss: merge with the outstanding fill.
 			p.mshr.NoteMerge()
 			acc.l1Misses++
-			p.appendOp(stagedOp{line: l, at: now, fill: fill, kind: stageMerge})
+			p.stagedOps = append(p.stagedOps, stagedOp{line: l, fill: fill, kind: stageMerge})
 			acc.nOps++
 			continue
 		}
@@ -309,71 +224,22 @@ func (p *SMPort) StageGlobal(now int64, lines []Line) {
 		}
 		acc.l1Misses++
 		p.mshr.AllocatePending(l)
-		p.appendOp(stagedOp{line: l, at: now, kind: stageDevice})
+		p.stagedOps = append(p.stagedOps, stagedOp{line: l, kind: stageDevice})
+		p.deviceOps++
 		acc.nOps++
 	}
 	p.stagedAccs = append(p.stagedAccs, acc)
 }
 
-// appendOp records one staged line op, routing device ops to their bank list
-// when bank staging is on.
-func (p *SMPort) appendOp(o stagedOp) {
-	idx := int32(len(p.stagedOps))
-	p.stagedOps = append(p.stagedOps, o)
-	if o.kind == stageDevice {
-		p.deviceOps++
-		if p.bankStage {
-			b := p.gpu.BankOf(o.line)
-			p.stagedByBank[b] = append(p.stagedByBank[b], idx)
-		}
-	}
-	if p.bankStage {
-		p.doneAt = append(p.doneAt, 0)
-		p.doneMiss = append(p.doneMiss, false)
-	}
-}
-
-// ResolveBank replays several ports' staged device ops for one bank, port by
-// port in staging order, recording each line's completion cycle and L2
-// outcome for FinishStaged. ports must be in canonical (SM id) order and
-// every op must share one staging cycle — the parallel engine resolves one
-// parked cycle at a time — which makes this order the per-bank projection of
-// the serial device order. Different banks may resolve concurrently
-// (disjoint doneAt/doneMiss indices, bank-local device state).
-func ResolveBank(ports []*SMPort, bank int) {
-	for _, p := range ports {
-		for _, idx := range p.stagedByBank[bank] {
-			o := &p.stagedOps[idx]
-			p.doneAt[idx], p.doneMiss[idx] = p.gpu.AccessBank(bank, o.at, o.line)
-		}
-	}
-}
-
-// ResolveStaged applies every staged access to the shared device inline, in
-// staging order, and reports each access's timing through fn (i is the
-// access's staging index). It is the serial-section resolve: the only caller
-// ordering requirement is ascending SM id, as the serial loop produces.
+// ResolveStaged applies every staged access to the shared device, in staging
+// order, and reports each access's timing through fn (i is the access's
+// staging index). It patches MSHR sentinels as it goes — a merge op always
+// reads its fill after the same-cycle primary to the same line was patched,
+// because ops are processed in staging order — and then clears every staged
+// buffer. Ports must resolve in the serial device order: ascending (staging
+// cycle, SM id). A staging cycle with no device ops (pure L1 hits and merges)
+// touches nothing outside the SM.
 func (p *SMPort) ResolveStaged(fn func(i int, res Result)) {
-	p.assemble(false, fn)
-}
-
-// FinishStaged assembles access timings from bank-phase outcomes (the bank
-// phase must have covered every staged device op), patches the MSHR, and reports
-// each access through fn. It touches only SM-private state, so the owning
-// worker runs it without synchronization. It also serves staging cycles with
-// no device ops at all (pure L1 hits and merges), where there is nothing to
-// resolve and assembly is the entire job.
-func (p *SMPort) FinishStaged(fn func(i int, res Result)) {
-	p.assemble(true, fn)
-}
-
-// assemble walks the staged accesses in order, obtaining each device line's
-// completion either inline from the device (serial resolve) or from the
-// bank-phase outcome buffers, patching MSHR sentinels as it goes — a merge op
-// always reads its fill after the same-cycle primary to the same line was
-// patched, because ops are processed in staging order. It then clears every
-// staged buffer.
-func (p *SMPort) assemble(banked bool, fn func(i int, res Result)) {
 	op := 0
 	for i := range p.stagedAccs {
 		acc := &p.stagedAccs[i]
@@ -399,14 +265,7 @@ func (p *SMPort) assemble(banked bool, fn func(i int, res Result)) {
 				}
 			case stageDevice:
 				var l2miss bool
-				if banked {
-					done, l2miss = p.doneAt[op], p.doneMiss[op]
-					if done == 0 {
-						panic(fmt.Sprintf("mem: staged device op for line %#x not resolved by any bank", uint64(o.line)))
-					}
-				} else {
-					done, l2miss = p.gpu.AccessLine(o.at, o.line)
-				}
+				done, l2miss = p.gpu.AccessLine(acc.at, o.line)
 				if l2miss {
 					res.L2Misses++
 				}
@@ -420,16 +279,7 @@ func (p *SMPort) assemble(banked bool, fn func(i int, res Result)) {
 		res.CompleteAt = latest
 		fn(i, res)
 	}
-	p.stagedOps = p.stagedOps[:0]
-	p.stagedAccs = p.stagedAccs[:0]
-	p.deviceOps = 0
-	if p.bankStage {
-		p.doneAt = p.doneAt[:0]
-		p.doneMiss = p.doneMiss[:0]
-		for b := range p.stagedByBank {
-			p.stagedByBank[b] = p.stagedByBank[b][:0]
-		}
-	}
+	p.DropStaged()
 }
 
 // GlobalAccess issues one warp global access covering the given lines at

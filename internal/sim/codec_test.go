@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"warpedgates/internal/config"
@@ -9,7 +11,7 @@ import (
 )
 
 // runSmall produces a real report with non-trivial counters and histograms.
-func runSmall(t *testing.T) *Report {
+func runSmall(t testing.TB) *Report {
 	t.Helper()
 	gpu, err := NewGPU(config.Small(), kernels.MustBenchmark("hotspot").Scale(0.1))
 	if err != nil {
@@ -72,4 +74,47 @@ func TestReportCodecRejectsForeignVersion(t *testing.T) {
 	if _, err := DecodeReport(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
+}
+
+// FuzzDecodeReport feeds arbitrary bytes to the store payload decoder. It
+// must never panic, and whatever it accepts must survive the codec: the
+// decoded report re-encodes, that encoding decodes to an equal report, and
+// encoding that report again reproduces the same bytes.
+func FuzzDecodeReport(f *testing.F) {
+	data, err := EncodeReport(runSmall(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version": 1, "report": {}}`))
+	f.Add([]byte(`{"version": 1, "report": {"Domains": [{"IdlePeriods": {"values": [3, 7], "counts": [2, 1]}}]}}`))
+	// A value listed twice whose counts sum past 2^64 once decoded to a zero
+	// count, which the decoder itself rejects on the way back in.
+	f.Add([]byte(`{"version": 1, "report": {"Domains": [{"IdlePeriods": {"values": [1, 1], "counts": [18446744073709551615, 1]}}]}}`))
+	f.Add([]byte(`{"version": 999, "report": {}}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReport(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeReport(r)
+		if err != nil {
+			t.Fatalf("decoded report does not re-encode: %v", err)
+		}
+		r2, err := DecodeReport(enc)
+		if err != nil {
+			t.Fatalf("re-encoded report does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(r, r2) {
+			t.Fatalf("report changed through re-encode:\n got  %+v\n want %+v", r2, r)
+		}
+		again, err := EncodeReport(r2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("encoding is not a fixed point:\n%s\n%s", enc, again)
+		}
+	})
 }

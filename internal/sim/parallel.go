@@ -6,15 +6,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"warpedgates/internal/mem"
 )
 
 // The parallel engine: the SM array is stepped by several worker goroutines
 // while every observable stays bit-identical to the serial loop in GPU.Run.
 //
-// The engine alternates two kinds of phases, separated by a sense-reversing
-// barrier whose last arriver runs a short coordinator section (advance).
+// Workers step SMs in compute phases separated by a sense-reversing barrier
+// whose last arriver runs a short coordinator section (advance), which also
+// resolves every parked memory access.
 //
 // Compute phase. Workers step disjoint SM sets, but not fixed shards: each
 // window, workers claim SM indices one at a time from a shared atomic counter
@@ -31,48 +30,35 @@ import (
 // calling the shared L2/DRAM inline. A staging cycle whose lines all hit the
 // L1 or merge with the SM's own outstanding fills touches nothing shared, so
 // the worker finishes it locally and keeps stepping; a cycle that needs the
-// device parks the SM (pendingAt[i]) until an arbitration phase replays its
-// ops. Stepping SMs at their own positions rather than a global clock is
-// exact because a serial step below an SM's fast-forward horizon is a no-op:
-// the serial clock only ever lands on some SM's wake cycle, and cycles where
-// only *other* SMs wake are invisible to this one.
+// device parks the SM (pendingAt[i]) until the coordinator replays its ops.
+// Stepping SMs at their own positions rather than a global clock is exact
+// because a serial step below an SM's fast-forward horizon is a no-op: the
+// serial clock only ever lands on some SM's wake cycle, and cycles where only
+// *other* SMs wake are invisible to this one.
 //
-// Arbitration phase. Staged device ops must hit the shared L2/DRAM in the
-// serial engine's order: ascending (cycle, SM id, staging index). Two
-// mechanisms provide it without a serial section. First, ordering: an op
+// Coordinator resolve. Staged device ops must hit the shared L2/DRAM in the
+// serial engine's order: ascending (cycle, SM id, staging index). An op
 // staged at cycle c is resolvable only once every live unparked SM has
-// advanced past c (c < frontier) — nothing can stage at ≤ c anymore — and
-// the resolvable set is sorted by (cycle, SM id). The earliest parked op is
-// always resolvable, so the engine cannot stall. Second, bank sharding: the
-// device state is partitioned by address bank (mem.GPUMem), lines of
-// different banks share no cache set, channel or counter, so the per-bank
-// projections of the canonical order are independent and each worker drains
-// the banks of its own bank range concurrently. The parked SMs' deferred
-// writebacks are then booked by their owning workers (finishMemory) at the
-// start of the next compute phase.
+// advanced past c (c < frontier) — nothing can stage at ≤ c anymore. The
+// coordinator resolves every SM parked at the earliest parked cycle (pmin)
+// in ascending SM id, in place, and repeats while the next parked cycle is
+// resolvable; the earliest parked op is always resolvable once the frontier
+// passes it, so the engine cannot stall. All resolvable ops share one cycle
+// and amount to a few L2/DRAM lookups per parked SM, so resolving them costs
+// no extra barrier round.
 //
-// The determinism argument rests on the same three properties of sm.step as
-// before — it touches nothing outside its SM once memory is staged, its
-// return value never depends on memory resolution, and everything resolution
-// patches is only read by a later step — plus the bank partition's exactness
-// (see mem.GPUMem) and the frontier ordering rule above. The worker count is
-// fixed at launch; it moves claim order and bank ranges only, never an op's
-// resolve cycle.
+// The determinism argument rests on three properties of sm.step — it touches
+// nothing outside its SM once memory is staged, its return value never
+// depends on memory resolution, and everything resolution patches is only
+// read by a later step — plus the frontier ordering rule above. The worker
+// count is fixed at launch; it moves claim order only, never an op's resolve
+// cycle.
 
 // spinYield is how many barrier polls a worker burns before yielding the
 // processor. Small enough to stay polite on oversubscribed machines, large
 // enough to catch the common case where the coordinator section is a few
 // hundred nanoseconds.
 const spinYield = 64
-
-// parOp is the phase the workers run next, written by the coordinator.
-type parOp int32
-
-const (
-	opCompute parOp = iota // step SM shards through the window
-	opResolve              // drain the resolve set's staged ops, bank-sharded
-	opExit                 // run over; workers return
-)
 
 // shardResult is one worker's per-compute-phase contribution, padded to a
 // cache line so workers never write-share: how many of its SMs drained and
@@ -83,11 +69,11 @@ type shardResult struct {
 	_        [48]byte
 }
 
-// parRun is the shared state of one parallel run. The scalar fields and
-// the resolve set are owned by the coordinator section; workers read them only
-// after observing the epoch advance that the coordinator precedes. pos,
-// pendingAt and needFinal slots are handed back and forth between an SM's
-// owning worker and the coordinator across the same barrier.
+// parRun is the shared state of one parallel run. The scalar fields are
+// owned by the coordinator section; workers read them only after observing
+// the epoch advance that the coordinator precedes. pos and pendingAt slots
+// are handed back and forth between an SM's owning worker and the
+// coordinator across the same barrier.
 type parRun struct {
 	g *GPU
 	// ctxDone is the run context's cancellation channel (nil when the context
@@ -99,7 +85,6 @@ type parRun struct {
 	workers   int32 // worker population, fixed at launch
 	maxCycles int64
 	batch     int64 // compute window length (cfg.EffectiveBatchCycles)
-	nBanks    int
 	shards    []shardResult
 
 	arrived atomic.Int32
@@ -108,18 +93,11 @@ type parRun struct {
 	// window. The coordinator resets it to zero when it opens a window.
 	claim atomic.Int64
 
-	op     parOp
+	exit   bool  // set by the coordinator when the run is over
 	winEnd int64 // first cycle past the current compute window
 
 	pos       []int64 // per SM: next cycle to step
 	pendingAt []int64 // per SM: cycle of its parked staged ops, -1 = none
-	needFinal []bool  // per SM: resolved ops await finishMemory
-	resolve   []int32 // SM ids to drain this arbitration phase, canonical order
-
-	// resolvePorts mirrors resolve as memory ports (same order); it is the
-	// input of the bank phase, built by the coordinator when it
-	// schedules opResolve.
-	resolvePorts []*mem.SMPort
 
 	live     int
 	maxDrain int64
@@ -135,7 +113,6 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 			live++
 		}
 		sm.memStage = true
-		sm.memPort.SetBankStaging(true)
 	}
 	var canceled bool
 	if live > 0 {
@@ -145,11 +122,9 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 			workers:   int32(workers),
 			maxCycles: int64(g.cfg.MaxCycles),
 			batch:     int64(g.cfg.EffectiveBatchCycles()),
-			nBanks:    g.gmem.NumBanks(),
 			shards:    make([]shardResult, workers),
 			pos:       make([]int64, len(g.sms)),
 			pendingAt: make([]int64, len(g.sms)),
-			needFinal: make([]bool, len(g.sms)),
 			live:      live,
 			maxDrain:  -1,
 		}
@@ -176,7 +151,7 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 	for _, sm := range g.sms {
 		sm.finish()
 		sm.memStage = false
-		sm.memPort.SetBankStaging(false)
+		sm.memPort.DropStaged()
 		sm.stagedRet = sm.stagedRet[:0]
 	}
 	if canceled {
@@ -185,25 +160,13 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 	return g.report(), nil
 }
 
-// worker runs whichever phase the coordinator scheduled — claiming SM
-// indices from the shared steal counter in compute phases, and draining the
-// bank range [w*B/W, (w+1)*B/W) in arbitration phases. The last worker to
-// arrive at the barrier runs the coordinator section and releases the others
-// by advancing the epoch.
+// worker runs compute phases until the coordinator schedules exit. The last
+// worker to arrive at the barrier runs the coordinator section and releases
+// the others by advancing the epoch.
 func (pr *parRun) worker(w int) {
-	W := int(pr.workers)
 	var sentinel uint32
 	for {
-		if pr.op == opCompute {
-			pr.compute(w)
-		} else {
-			// Banks share no state, so workers drain their ranges without
-			// synchronization; per-op outcomes land in each port's own
-			// buffers at disjoint indices.
-			for b := w * pr.nBanks / W; b < (w+1)*pr.nBanks/W; b++ {
-				mem.ResolveBank(pr.resolvePorts, b)
-			}
-		}
+		pr.compute(w)
 		if pr.arrived.Add(1) == pr.workers {
 			pr.advance()
 			pr.arrived.Store(0)
@@ -216,19 +179,18 @@ func (pr *parRun) worker(w int) {
 			}
 		}
 		sentinel++
-		if pr.op == opExit {
+		if pr.exit {
 			return
 		}
 	}
 }
 
 // compute steps SMs through the current window, claimed one at a time from
-// the shared steal index. Each SM first books writebacks left from the
-// previous arbitration phase (finishMemory), then steps from its own position
-// until the window ends, it drains, or it stages a device access and parks.
-// Pure-L1 staging cycles are finished inline: they read nothing shared, and
-// the merge fills they look up cannot be unpatched sentinels because the SM
-// parks before any unresolved device op could linger.
+// the shared steal index. Each SM steps from its own position until the
+// window ends, it drains, or it stages a device access and parks. Pure-L1
+// staging cycles are resolved inline: they read nothing shared, and the
+// merge fills they look up cannot be unpatched sentinels because the SM parks
+// before any unresolved device op could linger.
 func (pr *parRun) compute(w int) {
 	g := pr.g
 	end := pr.winEnd
@@ -241,10 +203,6 @@ func (pr *parRun) compute(w int) {
 			break
 		}
 		sm := g.sms[i]
-		if pr.needFinal[i] {
-			pr.needFinal[i] = false
-			sm.finishMemory()
-		}
 		if sm.drained || pr.pendingAt[i] >= 0 {
 			continue
 		}
@@ -253,7 +211,7 @@ func (pr *parRun) compute(w int) {
 			stepped := c
 			c = sm.step(stepped)
 			if len(sm.stagedRet) > 0 && !sm.memPort.HasStagedDevice() {
-				sm.finishMemory()
+				sm.resolveMemory()
 			}
 			parked := sm.memPort.HasStagedDevice()
 			if parked {
@@ -277,7 +235,7 @@ func (pr *parRun) compute(w int) {
 }
 
 // advance is the coordinator section, run once per barrier with every worker
-// parked: fold the phase's results, schedule resolvable staged ops, decide
+// parked: fold the phase's results, resolve parked staged ops, decide
 // termination, or open the next compute window. It polls the run context
 // first — one poll per barrier round bounds cancellation latency to a single
 // compute window without touching the workers' hot loops.
@@ -287,29 +245,18 @@ func (pr *parRun) advance() {
 		select {
 		case <-pr.ctxDone:
 			pr.canceled = true
-			pr.op = opExit
+			pr.exit = true
 			return
 		default:
 		}
 	}
-	if pr.op == opResolve {
-		// The bank phase covered every scheduled SM's device ops; their
-		// owning workers book the writebacks next compute phase.
-		for _, idx := range pr.resolve {
-			pr.pendingAt[idx] = -1
-			pr.needFinal[idx] = true
+	for i := range pr.shards {
+		s := &pr.shards[i]
+		pr.live -= int(s.drained)
+		if s.maxDrain > pr.maxDrain {
+			pr.maxDrain = s.maxDrain
 		}
-		pr.resolve = pr.resolve[:0]
-		pr.resolvePorts = pr.resolvePorts[:0]
-	} else {
-		for i := range pr.shards {
-			s := &pr.shards[i]
-			pr.live -= int(s.drained)
-			if s.maxDrain > pr.maxDrain {
-				pr.maxDrain = s.maxDrain
-			}
-			s.drained, s.maxDrain = 0, -1
-		}
+		s.drained, s.maxDrain = 0, -1
 	}
 	for {
 		// frontier is the earliest cycle any unparked live SM will step
@@ -334,35 +281,19 @@ func (pr *parRun) advance() {
 				frontier = pr.pos[i]
 			}
 		}
-		if pendingN > 0 {
-			// Drain only the ops at the earliest parked cycle: no unparked
+		if pmin < frontier {
+			// Resolve only the ops at the earliest parked cycle: no unparked
 			// SM can stage at or before it (frontier), and every other
 			// parked SM resumes after its own later cycle — whereas a
 			// later-cycle op is not safe yet, because the SM parked at pmin
 			// resumes at pmin+1 and may stage again in between.
-			if pmin < frontier {
-				for i := range g.sms {
-					if pr.pendingAt[i] == pmin {
-						pr.resolve = append(pr.resolve, int32(i))
-					}
+			for i, sm := range g.sms {
+				if pr.pendingAt[i] == pmin {
+					sm.resolveMemory()
+					pr.pendingAt[i] = -1
 				}
 			}
-			if len(pr.resolve) == 1 {
-				// One parked SM: a bank phase would spend a barrier round to
-				// parallelize work one goroutine can do here in place.
-				idx := pr.resolve[0]
-				g.sms[idx].resolveMemoryInline()
-				pr.pendingAt[idx] = -1
-				pr.resolve = pr.resolve[:0]
-				continue // its ops may unblock the next parked cycle
-			}
-			if len(pr.resolve) > 0 {
-				for _, idx := range pr.resolve {
-					pr.resolvePorts = append(pr.resolvePorts, g.sms[idx].memPort)
-				}
-				pr.op = opResolve
-				return
-			}
+			continue // the resolved SMs may unblock the next parked cycle
 		}
 		// No resolvable ops and none parked below the frontier: termination
 		// has the serial loop's semantics. A run whose last SM drains is
@@ -374,13 +305,13 @@ func (pr *parRun) advance() {
 			if pr.maxCycles > 0 && g.cycle > pr.maxCycles {
 				g.cycle = pr.maxCycles
 			}
-			pr.op = opExit
+			pr.exit = true
 			return
 		}
 		if pr.maxCycles > 0 && frontier >= pr.maxCycles && pendingN == 0 {
 			g.cycle = pr.maxCycles
 			g.ranOut = true
-			pr.op = opExit
+			pr.exit = true
 			return
 		}
 		g.cycle = frontier
@@ -398,7 +329,6 @@ func (pr *parRun) advance() {
 		}
 		pr.claim.Store(0)
 		pr.winEnd = end
-		pr.op = opCompute
 		return
 	}
 }

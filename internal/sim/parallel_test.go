@@ -116,13 +116,12 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchedEngineInvariantToTuning pins the tentpole's tuning contract:
-// batch size and bank count are pure performance knobs — any (workers, batch,
-// banks) combination in exact mode produces the serial engine's reports and
-// per-SM streams byte for byte, fast-forward on or off. Workers cover the
-// degenerate single-goroutine case, an uneven split, and one-SM-per-worker
-// (NumSMs); batch 1 degenerates to per-cycle windows, 128 is the default, 512
-// exceeds every natural window. Bank 1 degenerates to the unified device.
+// TestBatchedEngineInvariantToTuning pins the engine's tuning contract: the
+// worker count and batch size are pure performance knobs — any (workers,
+// batch) combination produces the serial engine's reports and per-SM streams
+// byte for byte, fast-forward on or off. Workers cover the degenerate
+// single-goroutine case, an uneven split, and one-SM-per-worker (NumSMs);
+// batch 1 degenerates to per-cycle windows, 512 exceeds every natural window.
 func TestBatchedEngineInvariantToTuning(t *testing.T) {
 	for _, bench := range []string{"hotspot", "bfs"} {
 		k := kernels.MustBenchmark(bench).Scale(0.08)
@@ -137,21 +136,18 @@ func TestBatchedEngineInvariantToTuning(t *testing.T) {
 			cfg.IntraRunWorkers = 1
 			wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
 			for _, workers := range []int{1, 2, 3, 4} {
-				for _, tune := range []struct{ batch, banks int }{
-					{1, 1}, {1, 8}, {7, 2}, {64, 4}, {512, 8},
-				} {
+				for _, batch := range []int{1, 7, 64, 512} {
 					pcfg := cfg
 					pcfg.IntraRunWorkers = workers
-					pcfg.BatchCycles = tune.batch
-					pcfg.MemBanks = tune.banks
+					pcfg.BatchCycles = batch
 					gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
 					if !sameReport(wantRep, gotRep) {
-						t.Errorf("%s noFF=%v workers=%d batch=%d banks=%d: report diverged\nserial:   %v\ngot:      %v",
-							bench, noFF, workers, tune.batch, tune.banks, wantRep, gotRep)
+						t.Errorf("%s noFF=%v workers=%d batch=%d: report diverged\nserial:   %v\ngot:      %v",
+							bench, noFF, workers, batch, wantRep, gotRep)
 					}
 					if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
-						t.Errorf("%s noFF=%v workers=%d batch=%d banks=%d: streams diverged",
-							bench, noFF, workers, tune.batch, tune.banks)
+						t.Errorf("%s noFF=%v workers=%d batch=%d: streams diverged",
+							bench, noFF, workers, batch)
 					}
 				}
 			}
@@ -160,9 +156,9 @@ func TestBatchedEngineInvariantToTuning(t *testing.T) {
 }
 
 // TestParallelEngineMatchesSerialQuick is the randomized version: arbitrary
-// benchmark, policies, gating parameters, fast-forward setting, worker count,
-// batch size and bank count must all produce the serial engine's exact probe
-// digests and report.
+// benchmark, policies, gating parameters, fast-forward setting, worker count
+// and batch size must all produce the serial engine's exact probe digests and
+// report.
 func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 	benchNames := []string{"nw", "hotspot", "mri", "bfs", "kmeans"}
 	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, smRaw, workerRaw uint8, adaptive, noFF bool) bool {
@@ -189,7 +185,6 @@ func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 		wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
 		cfg.IntraRunWorkers = 2 + int(workerRaw)%int(cfg.NumSMs) // 2..NumSMs+1 (clamped)
 		cfg.BatchCycles = []int{0, 1, 5, 64}[int(workerRaw>>2)%4]
-		cfg.MemBanks = []int{0, 1, 2, 8}[int(workerRaw>>4)%4]
 		gotRep, gotProbe, gotIssue := runDigests(t, cfg, k)
 		if !sameReport(wantRep, gotRep) {
 			t.Logf("report diverged: %s workers=%d noFF=%v\nserial:   %v\nparallel: %v",

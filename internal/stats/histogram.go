@@ -200,6 +200,11 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 		if v < 0 {
 			return fmt.Errorf("stats: histogram decode: negative value %d", v)
 		}
+		// MarshalJSON lists each value once, ascending; a repeated value
+		// could sum its counts past 2^64 into a zero count.
+		if i > 0 && v <= dec.Values[i-1] {
+			return fmt.Errorf("stats: histogram decode: value %d not above %d", v, dec.Values[i-1])
+		}
 		if dec.Counts[i] == 0 {
 			return fmt.Errorf("stats: histogram decode: zero count for value %d", v)
 		}

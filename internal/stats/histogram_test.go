@@ -242,9 +242,11 @@ func TestHistogramJSONEmpty(t *testing.T) {
 
 func TestHistogramJSONRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		`{"values":[1,2],"counts":[1]}`, // length mismatch
-		`{"values":[-1],"counts":[1]}`,  // negative value
-		`{"values":[1],"counts":[0]}`,   // zero count
+		`{"values":[1,2],"counts":[1]}`,                      // length mismatch
+		`{"values":[-1],"counts":[1]}`,                       // negative value
+		`{"values":[1],"counts":[0]}`,                        // zero count
+		`{"values":[2,1],"counts":[1,1]}`,                    // not ascending
+		`{"values":[1,1],"counts":[18446744073709551615,1]}`, // repeated value overflowing its count
 		`not json`,
 	} {
 		h := NewHistogram()
