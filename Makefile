@@ -20,9 +20,9 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The profiled bench harness: times the full benchmark × technique matrix
-# with and without the idle fast-forward, measures the steady-state
-# per-cycle cost (which must report 0 allocs/cycle), and writes
+# The profiled bench harness: times the full benchmark × technique matrix,
+# the intra-run scaling curve and the job-level makespan, measures the
+# steady-state per-cycle cost (which must report 0 allocs/cycle), and writes
 # BENCH_sim.json. bench-short is the CI-sized variant; FLOOR (default 0 =
 # off) gates the intra-run scaling curve — `make bench-short FLOOR=1.5`
 # exits 1 if 2 workers don't reach a 1.5x speedup. On single-core hosts the
@@ -94,12 +94,17 @@ store-faults:
 	$(GO) test -race ./internal/store/ ./internal/faultfs/
 	$(GO) test -race -run 'TestRunCtx|TestMaxWall|TestRunMany|TestPanic|TestLRU|TestSingleflight|TestRunnerStore' ./internal/core/
 
-# Bounded fuzzing of the two decoders that read bytes back from disk: the
-# store entry header parser and the report payload codec. Neither may panic,
-# and whatever they accept must round-trip through its encoder.
+# Bounded fuzzing of the decoders that read untrusted bytes: the store entry
+# header parser and the report payload codec (bytes read back from disk),
+# and the POST /v1/jobs and /v1/sweeps request builders (bytes from the
+# network). None may panic; the disk decoders must round-trip what they
+# accept, and the request builders may only accept valid configurations and
+# sweeps within the server's cell limit.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime 15s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 15s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 15s ./internal/serve/
 
 # The HTTP service suite under the race detector: the table-driven API
 # contract (status codes, quota/backpressure 429s, drain 503s), the

@@ -61,15 +61,13 @@ type benchReport struct {
 		AllocsPerCycle float64 `json:"allocs_per_cycle"`
 	} `json:"steady_state"`
 
-	// Cells cover the full benchmark × technique matrix with the idle
-	// fast-forward enabled; their alloc counts include device construction,
-	// amortized over the run.
+	// Cells cover the full benchmark × technique matrix; their alloc counts
+	// include device construction, amortized over the run.
 	Cells []benchCell `json:"cells"`
 
 	// IntraRunScaling is the phase-split engine's scaling curve: hotspot
-	// under the full proposal with fast-forward disabled (so the stepped
-	// loop dominates), re-run at growing intra-run worker counts. The
-	// workers=1 point is the serial engine and anchors the speedups.
+	// under the full proposal, re-run at growing intra-run worker counts.
+	// The workers=1 point is the serial engine and anchors the speedups.
 	IntraRunScaling []scalingPoint `json:"intra_run_scaling"`
 
 	// Makespan times the full benchmark × technique matrix through the
@@ -85,18 +83,18 @@ type benchReport struct {
 		Speedup    float64 `json:"speedup"`
 	} `json:"makespan"`
 
+	// Totals.MatrixMS sums the wall time of every cell. Snapshots written
+	// before it existed carry other totals and decode with it zero.
 	Totals struct {
-		FastForwardMS float64 `json:"fast_forward_ms"`
-		SteppedMS     float64 `json:"stepped_ms"`
-		Speedup       float64 `json:"speedup"`
+		MatrixMS float64 `json:"matrix_ms"`
 	} `json:"totals"`
 }
 
 // cmdBench times the full benchmark × technique matrix serially (one
 // simulation at a time, bypassing the runner's memoization so every cell is
-// really executed), measures the steady-state per-cycle cost, reruns the
-// matrix with the idle fast-forward disabled for the speedup baseline, and
-// writes everything as JSON.
+// really executed), measures the intra-run scaling curve, the job-level
+// makespan and the steady-state per-cycle cost, and writes everything as
+// JSON.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	sms := fs.Int("sms", 6, "number of SMs")
@@ -137,9 +135,8 @@ func cmdBench(args []string) error {
 	rep.Scale = *scale
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
-	runCell := func(bench string, tech core.Technique, disableFF bool) (benchCell, *sim.Report, config.Config, error) {
+	runCell := func(bench string, tech core.Technique) (benchCell, *sim.Report, config.Config, error) {
 		cfg := tech.Apply(base)
-		cfg.DisableFastForward = disableFF
 		k := kernels.MustBenchmark(bench).Scale(*scale)
 		runtime.GC()
 		var m0, m1 runtime.MemStats
@@ -188,34 +185,21 @@ func cmdBench(args []string) error {
 		len(kernels.BenchmarkNames), len(techs), *sms, *scale)
 	for _, bench := range kernels.BenchmarkNames {
 		for _, tech := range techs {
-			cell, r, cfg, err := runCell(bench, tech, false)
+			cell, r, cfg, err := runCell(bench, tech)
 			if err != nil {
 				return err
 			}
 			commitCell(bench, cfg, r)
 			rep.Cells = append(rep.Cells, cell)
-			rep.Totals.FastForwardMS += cell.WallMS
+			rep.Totals.MatrixMS += cell.WallMS
 		}
-	}
-	for _, bench := range kernels.BenchmarkNames {
-		for _, tech := range techs {
-			cell, _, _, err := runCell(bench, tech, true)
-			if err != nil {
-				return err
-			}
-			rep.Totals.SteppedMS += cell.WallMS
-		}
-	}
-	if rep.Totals.FastForwardMS > 0 {
-		rep.Totals.Speedup = rep.Totals.SteppedMS / rep.Totals.FastForwardMS
 	}
 
-	// Intra-run scaling curve: the same stepped run at growing worker
-	// counts. Candidate counts are clamped to the SM count (extra workers
-	// would shard nothing) and deduplicated; -sms 15 yields the full
-	// {1,2,4,8,15} curve of the GTX480 machine.
+	// Intra-run scaling curve: the same run at growing worker counts.
+	// Candidate counts are clamped to the SM count (extra workers would
+	// shard nothing) and deduplicated; -sms 15 yields the full {1,2,4,8,15}
+	// curve of the GTX480 machine.
 	scaleCfg := core.WarpedGates.Apply(base)
-	scaleCfg.DisableFastForward = true
 	scaleKernel := kernels.MustBenchmark("hotspot").Scale(*scale)
 	var serialMS float64
 	for _, w := range []int{1, 2, 4, 8, *sms} {
@@ -321,9 +305,8 @@ func cmdBench(args []string) error {
 		return err
 	}
 	fmt.Printf("steady state: %.0f ns/cycle, %g allocs/cycle\n", ns, allocs)
-	fmt.Printf("matrix: fast-forward %.0f ms, stepped %.0f ms, speedup %.2fx\n",
-		rep.Totals.FastForwardMS, rep.Totals.SteppedMS, rep.Totals.Speedup)
-	fmt.Printf("intra-run scaling (hotspot stepped, %d cores):", rep.GOMAXPROCS)
+	fmt.Printf("matrix: %.0f ms\n", rep.Totals.MatrixMS)
+	fmt.Printf("intra-run scaling (hotspot, %d cores):", rep.GOMAXPROCS)
 	for _, pt := range rep.IntraRunScaling {
 		fmt.Printf(" w%d=%.2fx", pt.Workers, pt.Speedup)
 	}

@@ -86,9 +86,9 @@ func cmdBenchcmp(args []string) error {
 		fmt.Printf("steady state: %.0f -> %.0f ns/cycle (%.2fx), %g -> %g allocs/cycle\n",
 			o.NsPerCycle, n.NsPerCycle, o.NsPerCycle/n.NsPerCycle, o.AllocsPerCycle, n.AllocsPerCycle)
 	}
-	if o, n := oldRep.Totals, newRep.Totals; o.FastForwardMS > 0 && n.FastForwardMS > 0 {
+	if o, n := oldRep.Totals, newRep.Totals; o.MatrixMS > 0 && n.MatrixMS > 0 {
 		fmt.Printf("matrix wall: %.0f -> %.0f ms (%.2fx)\n",
-			o.FastForwardMS, n.FastForwardMS, o.FastForwardMS/n.FastForwardMS)
+			o.MatrixMS, n.MatrixMS, o.MatrixMS/n.MatrixMS)
 	}
 	for _, which := range []struct {
 		name string

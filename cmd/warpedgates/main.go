@@ -23,8 +23,9 @@
 //	    checker attached and fail on any violation.
 //
 //	warpedgates bench [-sms 6] [-scale 0.25] [-out BENCH_sim.json]
-//	    Time the benchmark x technique matrix (fast-forward on and off) and
-//	    the steady-state per-cycle cost, writing the results as JSON.
+//	    Time the benchmark x technique matrix, the intra-run scaling curve,
+//	    the job-level makespan and the steady-state per-cycle cost, writing
+//	    the results as JSON.
 //
 //	warpedgates characterize
 //	    Print the benchmark suite's workload characterization.
@@ -135,10 +136,10 @@ figure regeneration is deterministic at any -j. -workers sets how many
 goroutines step SMs inside each simulation (default 1, or the
 WARPEDGATES_WORKERS environment variable; results are bit-identical at any
 value — the runner shrinks its -j budget so jobs x workers stays within -j).
--sched picks the job-level schedule: adaptive (default) orders jobs by the
-calibrated cost model, longest first, and grants drained workers' budget to
-still-running simulations; static keeps submission order and a fixed split.
-Both produce byte-identical reports — scheduling is a wall-clock knob.
+-sched picks the job-level schedule: adaptive (default) admits jobs in LPT
+order (longest predicted by the calibrated cost model first); static keeps
+submission order. Both produce byte-identical reports — scheduling is a
+wall-clock knob.
 `+"`bench -calibrate FILE`"+` regenerates the committed cost table
 (internal/core/costdata.json) and must produce no diff on an unchanged
 simulator. bench -makespan-floor gates adaptive-vs-static matrix wall time
@@ -167,11 +168,10 @@ func addWorkersFlag(fs *flag.FlagSet) *int {
 }
 
 // addSchedFlag registers the shared -sched flag selecting the runner's job
-// scheduling mode. Adaptive (the default) orders jobs longest-predicted-first
-// by the calibrated cost model and hands drained workers' budget to
-// still-running simulations as extra intra-run workers; static keeps
-// submission order and a fixed split. Scheduling never changes results, so
-// output is byte-identical either way.
+// scheduling mode. Adaptive (the default) admits jobs in LPT order, longest
+// predicted by the calibrated cost model first; static keeps submission
+// order. Scheduling never changes results, so output is byte-identical
+// either way.
 func addSchedFlag(fs *flag.FlagSet) *string {
 	return fs.String("sched", "adaptive",
 		"job scheduling: adaptive (cost-model LPT order) or static (submission order); identical output either way")

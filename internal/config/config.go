@@ -127,12 +127,6 @@ type Config struct {
 	// worker count never affects results, only wall-clock time, so it is
 	// excluded from the experiment runner's cache key.
 	IntraRunWorkers int
-	// DisableFastForward turns off the idle fast-forward, forcing the
-	// simulator to step every cycle individually. The fast-forward is
-	// cycle-exact (identical reports, probes and histograms), so this knob
-	// exists only for equivalence testing and debugging; the zero value
-	// leaves it enabled.
-	DisableFastForward bool
 
 	// --- Intra-run parallel engine tuning ---
 

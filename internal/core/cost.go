@@ -180,7 +180,7 @@ func (m *CostModel) prior(bench string, cfg config.Config, scale float64) float6
 
 // Predict estimates the job's wall cost. The unit is nanoseconds once the
 // bench has been observed, and calibration units before that; either way the
-// scale is consistent per bench, which is all ordering and reallocation need.
+// scale is consistent per bench, which is all LPT ordering needs.
 func (m *CostModel) Predict(bench string, cfg config.Config, scale float64) float64 {
 	p := m.prior(bench, cfg, scale)
 	m.mu.Lock()

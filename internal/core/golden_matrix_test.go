@@ -2,7 +2,6 @@ package core
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -167,8 +166,7 @@ func checkCorpusEngineStable(t *testing.T, base config.Config, tunes []engineTun
 // TestGoldenMatrixIntraRunWorkersStable is the engine's byte-stability
 // acceptance check: the full 108-cell corpus is byte-identical between the
 // serial engine and the phase-split parallel engine. It runs on config.Small
-// at workers ∈ {4, NumSMs} with the idle fast-forward both on and off, and on
-// the paper's default GTX480 machine at workers ∈ {2, 15} and with a short
+// at workers ∈ {4, NumSMs}, and on the paper's default GTX480 machine at workers ∈ {2, 15} and with a short
 // batch — the default machine's 15 SMs and deeper memory pipeline exercise
 // parking and resolve orders Small never reaches. IntraRunWorkers and
 // BatchCycles are excluded from the cache key precisely because of this
@@ -177,15 +175,12 @@ func TestGoldenMatrixIntraRunWorkersStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated full matrices are slow; skipped with -short")
 	}
-	for _, noFF := range []bool{false, true} {
-		base := config.Small()
-		base.DisableFastForward = noFF
+	t.Run("Small", func(t *testing.T) {
 		// Workers beyond NumSMs (Small has 2) clamp to NumSMs, so 4 also
 		// exercises the clamp; 2 is the one-SM-per-worker split.
-		t.Run(fmt.Sprintf("Small/noFF=%v", noFF), func(t *testing.T) {
-			checkCorpusEngineStable(t, base, []engineTune{{workers: 4}, {workers: base.NumSMs}})
-		})
-	}
+		base := config.Small()
+		checkCorpusEngineStable(t, base, []engineTune{{workers: 4}, {workers: base.NumSMs}})
+	})
 	t.Run("GTX480", func(t *testing.T) {
 		checkCorpusEngineStable(t, config.GTX480(), []engineTune{
 			{workers: 2}, {workers: 15}, {workers: 3, batch: 32},

@@ -73,12 +73,11 @@ type Runner struct {
 	// entry points, so the hook must be safe for concurrent use — attach
 	// per-run state (e.g. one check.Checker per GPU), never share probes.
 	Instrument Instrumenter
-	// Sched selects how RunMany/RunAllParallel/Prefetch order and provision
-	// jobs: SchedAdaptive (the zero value) applies the cost model's LPT
-	// admission order and lends drained workers' budget to still-running
-	// simulations; SchedStatic keeps submission order and a fixed split.
-	// Scheduling never changes results (jobs are deterministic, outputs
-	// positional), only wall time, so the mode is not part of any cache key.
+	// Sched selects how RunMany/RunAllParallel/Prefetch order jobs:
+	// SchedAdaptive (the zero value) applies the cost model's LPT admission
+	// order; SchedStatic keeps submission order. Scheduling never changes
+	// results (jobs are deterministic, outputs positional), only wall time,
+	// so the mode is not part of any cache key.
 	Sched SchedMode
 	// Cost, when non-nil, overrides the cost model the adaptive schedule
 	// orders jobs by. Nil uses the process-wide DefaultCostModel, seeded from

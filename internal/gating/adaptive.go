@@ -98,49 +98,6 @@ func (a *AdaptiveIdleDetect) endEpoch() {
 	a.criticals = 0
 }
 
-// AdvanceIdle advances the mechanism by n cycles with zero critical wakeups,
-// bit-identical to calling Tick(0) n times: the in-progress epoch finishes
-// with whatever criticals it accumulated before the batch, and every complete
-// epoch after it is quiet, so the window only recovers (value decrements every
-// decEpochs quiet epochs down to the minimum). The simulator's idle
-// fast-forward uses this to batch-advance across long fully-idle stretches.
-func (a *AdaptiveIdleDetect) AdvanceIdle(n int64) {
-	if !a.enabled || n <= 0 {
-		return
-	}
-	if a.threshold < 0 {
-		// A negative threshold makes even zero-critical epochs "critical";
-		// no validated configuration does this, but fall back to stepping
-		// rather than silently diverging from Tick.
-		for ; n > 0; n-- {
-			a.Tick(0)
-		}
-		return
-	}
-	// Finish the in-progress epoch; it may carry pre-batch criticals.
-	toBoundary := int64(a.epochLen - a.cycleInEpoch)
-	if n < toBoundary {
-		a.cycleInEpoch += int(n)
-		return
-	}
-	n -= toBoundary
-	a.endEpoch()
-	// The remaining full epochs are all quiet.
-	e := n / int64(a.epochLen)
-	a.cycleInEpoch = int(n % int64(a.epochLen))
-	a.epochs += uint64(e)
-	total := int64(a.quietEpochs) + e
-	drops := total / int64(a.decEpochs)
-	a.quietEpochs = int(total % int64(a.decEpochs))
-	if room := int64(a.value - a.min); drops > room {
-		drops = room
-	}
-	if drops > 0 {
-		a.value -= int(drops)
-		a.decrements += uint64(drops)
-	}
-}
-
 // Stats returns how often the window moved and how many epochs elapsed.
 func (a *AdaptiveIdleDetect) Stats() (increments, decrements, epochs uint64) {
 	return a.increments, a.decrements, a.epochs

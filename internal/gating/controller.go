@@ -251,55 +251,6 @@ func (c *Controller) beginWakeup() {
 	c.wakeCtr = c.wakeupDelay
 }
 
-// IdleSettled reports whether the controller, in isolation, can no longer
-// change state under sustained idle input (busy=false) with no issue demand
-// and no coordinator directives: it is either parked in the compensated state
-// (only demand wakes it) or permanently active because gating is disabled.
-// An active controller with gating enabled is NOT settled here — left alone
-// it will cross the idle-detect threshold and gate; coordinated configurations
-// that hold such a controller active forever are recognized by
-// Coordinator.IdleSettled instead. The simulator's idle fast-forward uses
-// these predicates to decide when per-cycle stepping can stop.
-func (c *Controller) IdleSettled() bool {
-	return c.state == StCompensated || (c.state == StActive && c.kind == config.GateNone)
-}
-
-// AdvanceIdle advances the controller by n idle, demand-free cycles in closed
-// form, with results bit-identical to calling Tick(false) n times. The caller
-// must have established (via IdleSettled / Coordinator.IdleSettled) that the
-// state cannot change during those cycles: the controller is compensated, or
-// active with gating disabled, or active but inhibited from gating by its
-// coordinator on every one of the n cycles. Transient states (uncompensated,
-// wakeup) must be stepped per cycle and are rejected.
-func (c *Controller) AdvanceIdle(n int64) {
-	if n <= 0 {
-		return
-	}
-	c.st.IdleCycles += uint64(n)
-	c.curIdleRun += int(n)
-	switch c.state {
-	case StActive:
-		// Per-cycle equivalent: idleCtr grows every cycle; either the kind
-		// never gates (GateNone skips the threshold check entirely) or the
-		// coordinator's inhibit directive overrides shouldGate each cycle.
-		c.st.PoweredCycles += uint64(n)
-		c.idleCtr += int(n)
-	case StCompensated:
-		// No demand, so the controller stays compensated; the first
-		// compensated cycle (if this is it) passes without a critical wakeup.
-		c.st.GatedCycles += uint64(n)
-		c.st.CompCycles += uint64(n)
-		c.firstCompCycle = false
-	default:
-		panic(fmt.Sprintf("gating: AdvanceIdle in transient state %v", c.state))
-	}
-	// Tick clears the per-cycle inputs at the end of every cycle; replicate
-	// that so a stale directive cannot leak past the batch.
-	c.demand = false
-	c.inhibitGate = false
-	c.forceGate = false
-}
-
 // endIdleRun closes the in-progress idle run and records it.
 func (c *Controller) endIdleRun() {
 	if c.curIdleRun > 0 {

@@ -89,55 +89,5 @@ func (co *Coordinator) AllInBlackout() bool {
 	return true
 }
 
-// IdleSettled reports whether no controller in the group can change state
-// under sustained idle input with no issue demand, given that the type's
-// active-subset counter stays at actv. Beyond each controller's own settled
-// states (Controller.IdleSettled), Coordinated Blackout admits one more:
-// a powered cluster held active forever because warps of the type are waiting
-// and PreTick issues the inhibit directive every cycle. That holds for
-// cluster 0 whenever actv > 0 (the consolidation target is inhibited both
-// before and after its peer gates, by the third and second PreTick rules),
-// and for any other cluster once a peer is gated. A gated-but-uncompensated
-// peer is itself still counting toward break-even and makes the whole group
-// unsettled through its own transient-state check. The simulator's idle
-// fast-forward steps per cycle until this returns true, then batch-advances
-// with AdvanceIdle.
-func (co *Coordinator) IdleSettled(actv int) bool {
-	for i, c := range co.ctrls {
-		switch c.state {
-		case StCompensated:
-			// Parked: only demand wakes it, and idle cycles carry none.
-		case StActive:
-			if c.kind == config.GateNone {
-				continue
-			}
-			// With gating enabled an active controller eventually crosses
-			// the idle-detect threshold — unless Coordinated Blackout
-			// inhibits it every cycle (warps waiting, and this cluster is
-			// the held-on target or has a gated peer).
-			if co.kind != config.GateCoordBlackout || actv == 0 {
-				return false
-			}
-			if i == 0 {
-				continue
-			}
-			peerGated := false
-			for j, p := range co.ctrls {
-				if j != i && p.Gated() {
-					peerGated = true
-					break
-				}
-			}
-			if !peerGated {
-				return false
-			}
-		default:
-			// Uncompensated (counting to break-even) or waking: transient.
-			return false
-		}
-	}
-	return true
-}
-
 // Controllers exposes the coordinated clusters.
 func (co *Coordinator) Controllers() []*Controller { return co.ctrls }

@@ -66,57 +66,6 @@ func (g *GATES) UpdatePriority(st *SMState) {
 	g.hold++
 }
 
-// AdvanceIdle applies n consecutive UpdatePriority calls in closed form, for
-// stretches in which no warp is ready (every RDY counter zero) and the ACTV
-// counters are frozen — the situation during the simulator's idle
-// fast-forward. It is bit-identical to calling UpdatePriority(st) n times
-// under those inputs. Three observations make the closed form possible:
-// the drain rule (ACTV[hi]==0, ACTV[lo]>0) can fire at most once, because
-// after the swap the new highest type has active warps; the blackout rule
-// needs RDY[lo] > 0 and is therefore dead; and the MaxHold rule, when live,
-// swaps with a fixed period of MaxHold+1 calls since both types keep active
-// warps across the swaps.
-func (g *GATES) AdvanceIdle(n int64, st *SMState) {
-	if n <= 0 {
-		return
-	}
-	hi, lo := g.highLow()
-	if st.ACTV[hi] == 0 && st.ACTV[lo] > 0 {
-		g.highIsINT = !g.highIsINT
-		g.hold = 0
-		g.switches++
-		n--
-		if n == 0 {
-			return
-		}
-		hi, lo = g.highLow()
-	}
-	if g.MaxHold <= 0 || st.ACTV[lo] == 0 {
-		// No rule can fire: every remaining call just extends the hold.
-		g.hold += int(n)
-		return
-	}
-	// ACTV[lo] > 0 here implies ACTV[hi] > 0 too (otherwise the drain rule
-	// above would have fired), so the forced swaps oscillate indefinitely.
-	// A swap consumes the call it fires on and resets hold to zero; the
-	// first swap happens on the call entered with hold >= MaxHold.
-	period := int64(g.MaxHold) + 1
-	first := int64(g.MaxHold-g.hold) + 1
-	if first < 1 {
-		first = 1
-	}
-	if n < first {
-		g.hold += int(n)
-		return
-	}
-	swaps := 1 + (n-first)/period
-	g.hold = int((n - first) % period)
-	g.switches += uint64(swaps)
-	if swaps%2 == 1 {
-		g.highIsINT = !g.highIsINT
-	}
-}
-
 // highLow returns the current highest- and lowest-priority ALU types.
 func (g *GATES) highLow() (hi, lo isa.Class) {
 	if g.highIsINT {

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -72,8 +73,9 @@ type Options struct {
 	// it (their reports remain fetchable — report IDs are store addresses).
 	// Default 4096.
 	MaxJobs int
-	// MaxSweepCells bounds how many cells one sweep submission may expand
-	// to; larger grids are rejected with a hint to shard. Default 4096.
+	// MaxSweepCells bounds the full grid one sweep submission may expand to,
+	// before any shard_index/shard_count split; larger grids are rejected
+	// without being expanded. Default 4096.
 	MaxSweepCells int
 	// ProgressEveryCycles throttles SSE progress events: one event per this
 	// many simulated cycles. Default 25000.
@@ -207,6 +209,14 @@ func (s *Server) Simulations() uint64 { return s.sims.Load() }
 // apiError is the JSON error envelope every non-2xx response carries.
 type apiError struct {
 	Error string `json:"error"`
+}
+
+// decodeRequest decodes a POST body strictly: an unknown field is an error,
+// so a knob the server would not key on is rejected rather than ignored.
+func decodeRequest(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // writeJSON renders v with the given status code.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -103,6 +102,11 @@ func (sw *sweepRun) terminal() bool {
 // of the sorted key list — resubmitting the same grid always lands on the
 // same sweep).
 func (s *Server) buildSweep(req *SweepRequest) (string, []*job, error) {
+	// Bound the full grid before expanding it: a body of a few hundred bytes
+	// can describe more cells than the process has memory for.
+	if n := sweep.Size(req.Spec, s.opts.Base); n > s.opts.MaxSweepCells {
+		return "", nil, fmt.Errorf("sweep grid has %d cells, server limit is %d", n, s.opts.MaxSweepCells)
+	}
 	cells, err := sweep.Expand(req.Spec, s.opts.Base)
 	if err != nil {
 		return "", nil, err
@@ -113,10 +117,6 @@ func (s *Server) buildSweep(req *SweepRequest) (string, []*job, error) {
 	}
 	if cells, err = sweep.Shard(cells, s.opts.Base, shardI, shardN); err != nil {
 		return "", nil, err
-	}
-	if len(cells) > s.opts.MaxSweepCells {
-		return "", nil, fmt.Errorf("sweep expands to %d cells, server limit is %d; shard it with shard_index/shard_count",
-			len(cells), s.opts.MaxSweepCells)
 	}
 	jobs := make([]*job, len(cells))
 	for i, c := range cells {
@@ -160,9 +160,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,21 @@ import (
 // smallSweep expands to 4 sub-second cells on the test machine: 2 benches ×
 // 2 techniques at scale 0.05.
 const smallSweep = `{"benches":["nw","hotspot"],"techniques":["Baseline","WarpedGates"],"sms":[2],"scales":[0.05]}`
+
+// hugeSweep is a body of about a kilobyte whose five 40-value axes cross the
+// default 18x6 matrix into 40^5 x 108 ≈ 1.1e10 cells, far more than memory
+// holds: the server must reject it by counting, never by expanding.
+var hugeSweep = func() string {
+	vals := func(base int) string {
+		v := make([]string, 40)
+		for i := range v {
+			v[i] = fmt.Sprint(base + i)
+		}
+		return "[" + strings.Join(v, ",") + "]"
+	}
+	return fmt.Sprintf(`{"sms":%s,"seeds":%s,"idle_detects":%s,"break_evens":%s,"wakeup_delays":%s}`,
+		vals(1), vals(1), vals(0), vals(1), vals(0))
+}()
 
 // postSweep submits a sweep and returns the decoded status.
 func postSweep(t *testing.T, ts *httptest.Server, body string, wantStatus int) SweepStatus {
@@ -154,13 +170,32 @@ func TestSweepValidationTable(t *testing.T) {
 			wantBody:   []string{"max_cycles"},
 		},
 		{
-			name:       "oversized sweep is 400 with a shard hint",
+			name:       "oversized sweep is 400",
 			opts:       func(o *Options) { o.MaxSweepCells = 2 },
 			method:     http.MethodPost,
 			path:       "/v1/sweeps",
 			body:       smallSweep,
 			wantStatus: http.StatusBadRequest,
-			wantBody:   []string{"4 cells", "limit is 2", "shard"},
+			wantBody:   []string{"4 cells", "limit is 2"},
+		},
+		{
+			// The limit bounds the full grid, not the submitted shard: a
+			// shard split never admits a grid the server would not expand.
+			name:       "oversized grid is 400 even when its shard fits",
+			opts:       func(o *Options) { o.MaxSweepCells = 2 },
+			method:     http.MethodPost,
+			path:       "/v1/sweeps",
+			body:       `{"benches":["nw","hotspot"],"techniques":["Baseline","WarpedGates"],"sms":[2],"scales":[0.05],"shard_index":0,"shard_count":2}`,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"4 cells", "limit is 2"},
+		},
+		{
+			name:       "huge grid from a small body is 400 without expanding",
+			method:     http.MethodPost,
+			path:       "/v1/sweeps",
+			body:       hugeSweep,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"11059200000 cells", "limit is 4096"},
 		},
 		{
 			name:       "invalid sampling combo is 400",

@@ -47,12 +47,6 @@ func BenchmarkMatrix(b *testing.B) {
 			c.Gating = config.GateCoordBlackout
 			c.AdaptiveIdleDetect = true
 		}},
-		{"WarpedGatesStepped", func(c *config.Config) {
-			c.Scheduler = config.SchedGATES
-			c.Gating = config.GateCoordBlackout
-			c.AdaptiveIdleDetect = true
-			c.DisableFastForward = true
-		}},
 	}
 	for _, bench := range []string{"hotspot", "bfs"} {
 		for _, tech := range techs {

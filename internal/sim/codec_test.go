@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -73,6 +75,38 @@ func TestReportCodecRejectsForeignVersion(t *testing.T) {
 	}
 	if _, err := DecodeReport(nil); err == nil {
 		t.Fatal("empty payload accepted")
+	}
+}
+
+// TestReportCodecIgnoresRetiredConfigField: store entries written while
+// Config still carried a since-deleted, non-keyed engine knob (the testdata
+// payload carries the idle fast-forward's opt-out) must decode to the same
+// report as an entry written without it. The decoder ignores unknown fields,
+// which is what keeps old stores valid when such a field is retired.
+func TestReportCodecIgnoresRetiredConfigField(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "report_retired_config_field.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeReport(old)
+	if err != nil {
+		t.Fatalf("payload with a retired Config field does not decode: %v", err)
+	}
+	cur, err := EncodeReport(&Report{
+		Benchmark:   "hotspot",
+		Cycles:      4321,
+		IssuedTotal: 987,
+		Config:      config.Config{NumSMs: 2, IdleDetect: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeReport(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("retired field changed the decoded report:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -80,10 +80,7 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 	// Completion is event-driven rather than scanned: an SM flips its drained
 	// flag at the transition point (last warp of its last CTA finishing, in
 	// commitIssue), and Run only maintains the count of SMs still holding
-	// work. The clock advances to the minimum wake-up cycle the live SMs
-	// report, so when every live SM has fast-forwarded across an idle
-	// stretch, the whole device jumps in one step; SMs whose target lies
-	// further out return it again unchanged until the clock catches up.
+	// work. Every live SM steps every cycle.
 	live := 0
 	for _, sm := range g.sms {
 		if sm.done() {
@@ -108,34 +105,16 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 			g.ranOut = true
 			break
 		}
-		next := int64(-1)
 		for _, sm := range g.sms {
 			if sm.drained {
 				continue
 			}
-			wake := sm.step(g.cycle)
+			sm.step(g.cycle)
 			if sm.drained {
 				live--
-				continue
-			}
-			if next < 0 || wake < next {
-				next = wake
 			}
 		}
-		if next < 0 {
-			// The last live SM drained this cycle; account the cycle as the
-			// scan-based loop did before breaking out.
-			g.cycle++
-		} else {
-			g.cycle = next
-		}
-		// Clamp the jump: an idle fast-forward target past the cap must not
-		// leave a RanOut report claiming more cycles than MaxCycles allows
-		// (sm.step clamps its own targets, but the cap is a report-level
-		// invariant, so it is enforced where the clock is written).
-		if maxCycles > 0 && g.cycle > maxCycles {
-			g.cycle = maxCycles
-		}
+		g.cycle++
 		if smp != nil && g.cycle >= smp.next {
 			smp.boundary()
 		}

@@ -8,10 +8,9 @@ import (
 )
 
 // TestMaxCyclesNeverOvershot pins the report-level cap invariant on both
-// engines: no run may report Cycles > MaxCycles, even when an idle
-// fast-forward's next-wake target lies past the cap. The cap values are
-// deliberately scattered so some land inside long idle stretches (where the
-// closed-form advance would jump past them if unclamped).
+// engines: no run may report Cycles > MaxCycles, and a run that runs out
+// reports the cap exactly. The cap values are deliberately scattered so some
+// land inside long idle stretches where every warp waits on memory.
 func TestMaxCyclesNeverOvershot(t *testing.T) {
 	for _, bench := range []string{"hotspot", "bfs", "mri", "nw", "kmeans"} {
 		k := kernels.MustBenchmark(bench).Scale(0.1)
@@ -40,10 +39,10 @@ func TestMaxCyclesNeverOvershot(t *testing.T) {
 	}
 }
 
-// TestMaxCyclesClampsFastForwardJump forces the scenario the clamp exists
-// for: a device that goes fully idle with retirements scheduled past the cap,
-// so every SM's next-wake exceeds MaxCycles. The run must report exactly the
-// cap. A long-latency memory stall right before a small cap produces the
+// TestMaxCyclesClampsFastForwardJump forces a device that goes fully idle
+// with every pending writeback scheduled past the cap, so no SM can make
+// progress before MaxCycles. The run must still stop at, and report exactly,
+// the cap on both engines. A long-latency memory stall right before a small cap produces the
 // shape deterministically: bfs at small scale stalls all warps on DRAM within
 // the first tens of cycles, and the fill cycle (DRAM latency plus queueing)
 // lies far beyond caps placed inside the stall window.

@@ -18,7 +18,7 @@ import (
 // Compute phase. Workers step disjoint SM sets, but not fixed shards: each
 // window, workers claim SM indices one at a time from a shared atomic counter
 // (reset by the coordinator when it opens the window), so a worker whose
-// claimed SMs all fast-forwarded or drained keeps claiming live SMs instead of
+// claimed SMs all parked or drained keeps claiming live SMs instead of
 // spinning at the barrier while another worker steps a long shard alone.
 // Claiming only decides *which goroutine* steps an SM — every per-SM
 // observable (pos, pendingAt, staged ops) lives in per-SM slots written solely
@@ -32,9 +32,9 @@ import (
 // the worker finishes it locally and keeps stepping; a cycle that needs the
 // device parks the SM (pendingAt[i]) until the coordinator replays its ops.
 // Stepping SMs at their own positions rather than a global clock is exact
-// because a serial step below an SM's fast-forward horizon is a no-op: the
-// serial clock only ever lands on some SM's wake cycle, and cycles where only
-// *other* SMs wake are invisible to this one.
+// because each SM steps every cycle of its window, one cycle per step, just
+// as the serial loop steps it, and a step reads no other SM's state: the only
+// shared state is the L2/DRAM, which only the ordered resolve below touches.
 //
 // Coordinator resolve. Staged device ops must hit the shared L2/DRAM in the
 // serial engine's order: ascending (cycle, SM id, staging index). An op
@@ -47,12 +47,11 @@ import (
 // and amount to a few L2/DRAM lookups per parked SM, so resolving them costs
 // no extra barrier round.
 //
-// The determinism argument rests on three properties of sm.step — it touches
-// nothing outside its SM once memory is staged, its return value never
-// depends on memory resolution, and everything resolution patches is only
-// read by a later step — plus the frontier ordering rule above. The worker
-// count is fixed at launch; it moves claim order only, never an op's resolve
-// cycle.
+// The determinism argument rests on two properties of sm.step — it touches
+// nothing outside its SM once memory is staged, and everything resolution
+// patches is only read by a later step — plus the frontier ordering rule
+// above. The worker count is fixed at launch; it moves claim order only,
+// never an op's resolve cycle.
 
 // spinYield is how many barrier polls a worker burns before yielding the
 // processor. Small enough to stay polite on oversubscribed machines, large
@@ -209,7 +208,8 @@ func (pr *parRun) compute(w int) {
 		c := pr.pos[i]
 		for c < end {
 			stepped := c
-			c = sm.step(stepped)
+			sm.step(stepped)
+			c++
 			if len(sm.stagedRet) > 0 && !sm.memPort.HasStagedDevice() {
 				sm.resolveMemory()
 			}
@@ -296,15 +296,12 @@ func (pr *parRun) advance() {
 			continue // the resolved SMs may unblock the next parked cycle
 		}
 		// No resolvable ops and none parked below the frontier: termination
-		// has the serial loop's semantics. A run whose last SM drains is
-		// complete even if the next cycle would cross MaxCycles; a run whose
-		// every SM sits at or past the cap with work left ran out, its clock
-		// clamped to the cap (the MaxCycles-overshoot rule).
+		// has the serial loop's semantics. A run whose last SM drains ends one
+		// cycle past the drain (windows never cross MaxCycles, so neither
+		// does that clock); a run whose every SM sits at the cap with work
+		// left ran out.
 		if pr.live == 0 && pendingN == 0 {
 			g.cycle = pr.maxDrain + 1
-			if pr.maxCycles > 0 && g.cycle > pr.maxCycles {
-				g.cycle = pr.maxCycles
-			}
 			pr.exit = true
 			return
 		}

@@ -70,8 +70,7 @@ func sameReport(a, b *Report) bool {
 // TestParallelEngineMatchesSerial pins the tentpole contract on a fixed
 // matrix: every report field, probe stream and issue stream of the parallel
 // engine is identical to the serial engine's, at several worker counts (even
-// and odd shard splits, one-SM-per-worker), with the idle fast-forward both
-// on and off.
+// and odd shard splits, one-SM-per-worker).
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	type tech struct {
 		name  string
@@ -86,30 +85,27 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	for _, bench := range []string{"hotspot", "bfs"} {
 		k := kernels.MustBenchmark(bench).Scale(0.08)
 		for _, tc := range techs {
-			for _, noFF := range []bool{false, true} {
-				cfg := config.Small()
-				cfg.NumSMs = 4
-				cfg.Scheduler = tc.sched
-				cfg.Gating = tc.gate
-				cfg.AdaptiveIdleDetect = tc.adapt
-				cfg.DisableFastForward = noFF
-				cfg.MaxCycles = 30000
-				cfg.IntraRunWorkers = 1
-				wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
-				for _, workers := range []int{2, 3, 4} {
-					pcfg := cfg
-					pcfg.IntraRunWorkers = workers
-					gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
-					if !sameReport(wantRep, gotRep) {
-						t.Errorf("%s/%s noFF=%v workers=%d: report diverged\nserial:   %v\nparallel: %v",
-							bench, tc.name, noFF, workers, wantRep, gotRep)
-					}
-					if !reflect.DeepEqual(wantProbe, gotProbe) {
-						t.Errorf("%s/%s noFF=%v workers=%d: probe streams diverged", bench, tc.name, noFF, workers)
-					}
-					if !reflect.DeepEqual(wantIssue, gotIssue) {
-						t.Errorf("%s/%s noFF=%v workers=%d: issue streams diverged", bench, tc.name, noFF, workers)
-					}
+			cfg := config.Small()
+			cfg.NumSMs = 4
+			cfg.Scheduler = tc.sched
+			cfg.Gating = tc.gate
+			cfg.AdaptiveIdleDetect = tc.adapt
+			cfg.MaxCycles = 30000
+			cfg.IntraRunWorkers = 1
+			wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
+			for _, workers := range []int{2, 3, 4} {
+				pcfg := cfg
+				pcfg.IntraRunWorkers = workers
+				gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
+				if !sameReport(wantRep, gotRep) {
+					t.Errorf("%s/%s workers=%d: report diverged\nserial:   %v\nparallel: %v",
+						bench, tc.name, workers, wantRep, gotRep)
+				}
+				if !reflect.DeepEqual(wantProbe, gotProbe) {
+					t.Errorf("%s/%s workers=%d: probe streams diverged", bench, tc.name, workers)
+				}
+				if !reflect.DeepEqual(wantIssue, gotIssue) {
+					t.Errorf("%s/%s workers=%d: issue streams diverged", bench, tc.name, workers)
 				}
 			}
 		}
@@ -119,36 +115,33 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 // TestBatchedEngineInvariantToTuning pins the engine's tuning contract: the
 // worker count and batch size are pure performance knobs — any (workers,
 // batch) combination produces the serial engine's reports and per-SM streams
-// byte for byte, fast-forward on or off. Workers cover the degenerate
+// byte for byte. Workers cover the degenerate
 // single-goroutine case, an uneven split, and one-SM-per-worker (NumSMs);
 // batch 1 degenerates to per-cycle windows, 512 exceeds every natural window.
 func TestBatchedEngineInvariantToTuning(t *testing.T) {
 	for _, bench := range []string{"hotspot", "bfs"} {
 		k := kernels.MustBenchmark(bench).Scale(0.08)
-		for _, noFF := range []bool{false, true} {
-			cfg := config.Small()
-			cfg.NumSMs = 4
-			cfg.Scheduler = config.SchedGATES
-			cfg.Gating = config.GateCoordBlackout
-			cfg.AdaptiveIdleDetect = true
-			cfg.DisableFastForward = noFF
-			cfg.MaxCycles = 30000
-			cfg.IntraRunWorkers = 1
-			wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
-			for _, workers := range []int{1, 2, 3, 4} {
-				for _, batch := range []int{1, 7, 64, 512} {
-					pcfg := cfg
-					pcfg.IntraRunWorkers = workers
-					pcfg.BatchCycles = batch
-					gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
-					if !sameReport(wantRep, gotRep) {
-						t.Errorf("%s noFF=%v workers=%d batch=%d: report diverged\nserial:   %v\ngot:      %v",
-							bench, noFF, workers, batch, wantRep, gotRep)
-					}
-					if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
-						t.Errorf("%s noFF=%v workers=%d batch=%d: streams diverged",
-							bench, noFF, workers, batch)
-					}
+		cfg := config.Small()
+		cfg.NumSMs = 4
+		cfg.Scheduler = config.SchedGATES
+		cfg.Gating = config.GateCoordBlackout
+		cfg.AdaptiveIdleDetect = true
+		cfg.MaxCycles = 30000
+		cfg.IntraRunWorkers = 1
+		wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
+		for _, workers := range []int{1, 2, 3, 4} {
+			for _, batch := range []int{1, 7, 64, 512} {
+				pcfg := cfg
+				pcfg.IntraRunWorkers = workers
+				pcfg.BatchCycles = batch
+				gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
+				if !sameReport(wantRep, gotRep) {
+					t.Errorf("%s workers=%d batch=%d: report diverged\nserial:   %v\ngot:      %v",
+						bench, workers, batch, wantRep, gotRep)
+				}
+				if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
+					t.Errorf("%s workers=%d batch=%d: streams diverged",
+						bench, workers, batch)
 				}
 			}
 		}
@@ -156,12 +149,11 @@ func TestBatchedEngineInvariantToTuning(t *testing.T) {
 }
 
 // TestParallelEngineMatchesSerialQuick is the randomized version: arbitrary
-// benchmark, policies, gating parameters, fast-forward setting, worker count
-// and batch size must all produce the serial engine's exact probe digests and
-// report.
+// benchmark, policies, gating parameters, worker count and batch size must
+// all produce the serial engine's exact probe digests and report.
 func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 	benchNames := []string{"nw", "hotspot", "mri", "bfs", "kmeans"}
-	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, smRaw, workerRaw uint8, adaptive, noFF bool) bool {
+	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, smRaw, workerRaw uint8, adaptive bool) bool {
 		cfg := config.Small()
 		cfg.NumSMs = 2 + int(smRaw%3) // 2..4 SMs
 		cfg.Scheduler = []config.SchedulerKind{
@@ -175,7 +167,6 @@ func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 		cfg.BreakEven = 1 + int(betRaw%30)
 		cfg.WakeupDelay = int(wakeRaw % 10)
 		cfg.AdaptiveIdleDetect = adaptive
-		cfg.DisableFastForward = noFF
 		cfg.MaxCycles = 20000
 
 		bench := benchNames[int(benchRaw)%len(benchNames)]
@@ -187,12 +178,12 @@ func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 		cfg.BatchCycles = []int{0, 1, 5, 64}[int(workerRaw>>2)%4]
 		gotRep, gotProbe, gotIssue := runDigests(t, cfg, k)
 		if !sameReport(wantRep, gotRep) {
-			t.Logf("report diverged: %s workers=%d noFF=%v\nserial:   %v\nparallel: %v",
-				bench, cfg.IntraRunWorkers, noFF, wantRep, gotRep)
+			t.Logf("report diverged: %s workers=%d\nserial:   %v\nparallel: %v",
+				bench, cfg.IntraRunWorkers, wantRep, gotRep)
 			return false
 		}
 		if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
-			t.Logf("digests diverged: %s workers=%d noFF=%v", bench, cfg.IntraRunWorkers, noFF)
+			t.Logf("digests diverged: %s workers=%d", bench, cfg.IntraRunWorkers)
 			return false
 		}
 		return true

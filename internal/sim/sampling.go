@@ -25,7 +25,7 @@ import (
 // simulated detailed — and the skipped waves are statistically identical
 // (same body, same geometry, different seeds) to the waves the windows
 // measure. Every engine invariant — scoreboard, retire ring, gating
-// controller state machines, the idle fast-forward — holds unchanged.
+// controller state machines — holds unchanged.
 //
 // The estimate's rate basis is the *entire* post-warm-up detailed run, not
 // the windows in which splices happened to land: boundary() accumulates
@@ -170,9 +170,8 @@ func (s *sampler) snapshot(dst *sampleCounters) {
 // boundary closes the detailed window ending at the current device cycle:
 // it measures the window's deltas, splices out the proportional amount of
 // future work, and folds the spliced work's estimated contribution into the
-// running totals. Called from the serial loop whenever the clock crosses
-// s.next (idle fast-forward can overshoot a boundary; the window then simply
-// covers the actual elapsed cycles).
+// running totals. Called from the serial loop whenever the clock reaches
+// s.next.
 func (s *sampler) boundary() {
 	var cur sampleCounters
 	s.snapshot(&cur)
@@ -181,7 +180,7 @@ func (s *sampler) boundary() {
 		if issuedDelta > 0 {
 			// Every post-warm-up window that issued feeds the rate basis,
 			// splice or not. Issue-free windows are excluded: they are idle
-			// regions the fast-forward jumped over, and their cycles are a
+			// regions (every warp waiting on memory), and their cycles are a
 			// fixed structural cost of the resident machine, not per-wave
 			// work a skipped CTA would have multiplied.
 			addScaled(&s.cum, &cur, &s.prev, 1)

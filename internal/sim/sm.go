@@ -61,12 +61,8 @@ type SMStats struct {
 // The per-cycle hot path runs on incrementally maintained state instead of
 // rescans: warp readiness lives in uint64 bitsets and per-class counters that
 // are updated at the transition points (launch, issue, writeback, finish) by
-// refreshWarp, and the retire ring keeps an occupancy bitmap so the next
-// scheduled writeback can be found without walking the ring. On top of that
-// state sits an idle fast-forward (see step): when no warp is ready and no
-// pipe is draining, nothing can happen until the next populated retire
-// bucket, so the SM advances its gating controllers to that cycle in closed
-// form instead of stepping.
+// refreshWarp. Every step simulates exactly one cycle, so the per-cycle idle
+// structure the gating controllers measure is observed directly.
 type SM struct {
 	id  int
 	cfg config.Config
@@ -109,9 +105,6 @@ type SM struct {
 	pipes     []*Pipe
 	sfuPipes  []*Pipe
 	ldstPipes []*Pipe
-	// maxDrainAt is the monotone maximum of every pipe's drain horizon: at
-	// cycles >= maxDrainAt all pipes are idle.
-	maxDrainAt int64
 
 	intCoord *gating.Coordinator
 	fpCoord  *gating.Coordinator
@@ -127,17 +120,6 @@ type SM struct {
 	retireHead [retireRingSize]int32
 	retirePool []retireEvent
 	retireFree int32
-	// retireBits marks populated retire buckets (one bit per bucket) and
-	// retireCount totals the pending events, so the idle fast-forward can
-	// locate the next writeback in a handful of word scans.
-	retireBits  [retireRingSize / 64]uint64
-	retireCount int
-
-	// ffEnabled caches !cfg.DisableFastForward; skipUntil is the first cycle
-	// not yet simulated after an idle fast-forward (step returns immediately
-	// for cycles below it, because they were already accounted in batch).
-	ffEnabled bool
-	skipUntil int64
 
 	// candBuf holds reusable candidate slices, one per scheduler slot.
 	candBuf [][]sched.Candidate
@@ -176,7 +158,6 @@ func newSM(id int, cfg config.Config, k *kernels.Kernel, gpuMem *mem.GPUMem, ben
 		memPort:   mem.NewSMPort(cfg, gpuMem),
 		coalescer: mem.NewCoalescer(),
 		benchSeed: benchSeed,
-		ffEnabled: !cfg.DisableFastForward,
 	}
 	for i := range sm.retireHead {
 		sm.retireHead[i] = -1
@@ -353,25 +334,8 @@ func (sm *SM) done() bool {
 	return sm.ctasRemaining <= 0 && sm.liveMask == 0
 }
 
-// step advances the SM from cycle now and returns the next cycle at which it
-// needs stepping: now+1 after a normal cycle, or the fast-forward target when
-// the SM batch-advanced across an idle stretch (calls for cycles the batch
-// already covered return immediately).
-func (sm *SM) step(now int64) int64 {
-	if now < sm.skipUntil {
-		return sm.skipUntil
-	}
-	if sm.canFastForward(now) {
-		if t := sm.nextRetireCycle(now); t > now {
-			if mc := int64(sm.cfg.MaxCycles); mc > 0 && t > mc {
-				t = mc
-			}
-			if t > now {
-				sm.advanceIdle(now, t)
-				return sm.skipUntil
-			}
-		}
-	}
+// step simulates cycle now on the SM.
+func (sm *SM) step(now int64) {
 	sm.st.Cycles++
 	sm.memPort.Expire(now)
 	sm.writeback(now)
@@ -383,114 +347,6 @@ func (sm *SM) step(now int64) int64 {
 	sm.issue(now)
 	sm.tickGating(now)
 	sm.emitProbe(now)
-	return now + 1
-}
-
-// canFastForward reports whether nothing observable can happen this cycle or
-// any cycle before the next populated retire bucket: no warp is ready (so no
-// issue, no wakeup demand, no CTA completion), every pipe has drained (so
-// gating controllers see idle and Tick(busy=true) panics are impossible), at
-// least one writeback is pending (otherwise the SM is deadlocked or draining
-// and skipping has no target), and no CTA launch is due. MSHR expiry is
-// deferred soundly: nothing reads the MSHR until the next issue attempt, and
-// ExpireBefore is cumulative.
-func (sm *SM) canFastForward(now int64) bool {
-	return sm.ffEnabled &&
-		sm.readyMask == 0 &&
-		sm.retireCount > 0 &&
-		now >= sm.maxDrainAt &&
-		(sm.ctasRemaining <= 0 || sm.emptySlots == 0)
-}
-
-// advanceIdle advances the SM from cycle now to cycle until (exclusive)
-// without issuing anything, bit-identical to stepping each cycle. It runs in
-// two phases: per-cycle micro-steps while the gating controllers are still
-// transitioning (idle-detect counting, break-even accounting, wakeup
-// countdowns — these cross state boundaries the closed forms must not skip),
-// then one closed-form batch once every controller has settled into a state
-// that constant idle input cannot change.
-func (sm *SM) advanceIdle(now, until int64) {
-	cyc := now
-	for cyc < until && !sm.idleSettled() {
-		sm.microIdleCycle(cyc)
-		cyc++
-	}
-	if n := until - cyc; n > 0 {
-		sm.bulkIdleAdvance(cyc, n)
-	}
-	sm.skipUntil = until
-}
-
-// idleSettled reports whether every gating controller of the SM is in a state
-// that sustained idle input cannot change.
-func (sm *SM) idleSettled() bool {
-	return sm.intCoord.IdleSettled(sm.actv[isa.INT]) &&
-		sm.fpCoord.IdleSettled(sm.actv[isa.FP]) &&
-		sm.sfuPipe.Gate().IdleSettled() &&
-		sm.ldstPipe.Gate().IdleSettled()
-}
-
-// microIdleCycle replays exactly what step does on a cycle with no ready
-// warps, no writebacks, no CTA launches and no busy pipes: statistics,
-// priority update, coordinator directives, controller ticks, adaptive ticks
-// and the probe. Memory-port expiry is deferred to the next real step.
-func (sm *SM) microIdleCycle(now int64) {
-	sm.st.Cycles++
-	sm.refreshCounters()
-	if sm.gatesPol != nil {
-		sm.gatesPol.UpdatePriority(&sm.smState)
-	}
-	sm.intCoord.PreTick(sm.smState.ACTV[isa.INT])
-	sm.fpCoord.PreTick(sm.smState.ACTV[isa.FP])
-	for _, p := range sm.pipes {
-		p.Gate().Tick(false)
-	}
-	// No demand, so the cumulative critical-wakeup counts cannot move.
-	sm.intAdapt.Tick(0)
-	sm.fpAdapt.Tick(0)
-	sm.emitProbe(now)
-}
-
-// bulkIdleAdvance applies n idle cycles starting at cycle from in closed
-// form: occupancy statistics scale linearly, the GATES priority register and
-// the adaptive windows advance arithmetically, and every settled controller
-// batch-updates its counters. The probe (when installed) still fires once
-// per skipped cycle — the lane states are constant by construction, so one
-// buffer serves all n calls and downstream invariant checkers observe the
-// same per-cycle stream stepping would produce.
-func (sm *SM) bulkIdleAdvance(from, n int64) {
-	sm.st.Cycles += n
-	active := bits.OnesCount64(sm.activeMask)
-	sm.st.ActiveWarpSum += uint64(active) * uint64(n)
-	if active > sm.st.ActiveWarpMax {
-		sm.st.ActiveWarpMax = active
-	}
-	sm.smState.ACTV = sm.actv
-	sm.smState.RDY = sm.rdy
-	sm.smState.AllBlackout[isa.INT] = sm.intCoord.AllInBlackout()
-	sm.smState.AllBlackout[isa.FP] = sm.fpCoord.AllInBlackout()
-	if sm.gatesPol != nil {
-		sm.gatesPol.AdvanceIdle(n, &sm.smState)
-	}
-	for _, p := range sm.pipes {
-		p.Gate().AdvanceIdle(n)
-	}
-	sm.intAdapt.AdvanceIdle(n)
-	sm.fpAdapt.AdvanceIdle(n)
-	if sm.probe != nil {
-		sm.laneBuf = sm.laneBuf[:0]
-		for _, p := range sm.pipes {
-			sm.laneBuf = append(sm.laneBuf, LaneState{
-				Class:   p.Class(),
-				Cluster: p.Cluster(),
-				Busy:    false,
-				State:   p.Gate().State(),
-			})
-		}
-		for cyc := from; cyc < from+n; cyc++ {
-			sm.probe(sm.id, cyc, sm.laneBuf)
-		}
-	}
 }
 
 // emitProbe reports the per-lane gating states for cycle now.
@@ -528,11 +384,9 @@ func (sm *SM) writeback(now int64) {
 		next := ev.next
 		ev.next = sm.retireFree
 		sm.retireFree = n
-		sm.retireCount--
 		n = next
 	}
 	sm.retireHead[idx] = -1
-	sm.retireBits[idx>>6] &^= 1 << uint(idx&63)
 }
 
 // scheduleRetire books a future writeback at cycle at (scheduled at cycle
@@ -563,28 +417,6 @@ func (sm *SM) scheduleRetire(now, at int64, w *Warp, dstMask uint64) {
 	ev.warp, ev.gen, ev.dstMask = w, w.gen, dstMask
 	ev.next = sm.retireHead[idx]
 	sm.retireHead[idx] = n
-	sm.retireBits[idx>>6] |= 1 << uint(idx&63)
-	sm.retireCount++
-}
-
-// nextRetireCycle returns the cycle of the earliest populated retire bucket
-// at or after now. Callers must ensure retireCount > 0; the scheduling
-// horizon check guarantees every pending event lies within
-// [now, now+retireRingSize), so bucket order equals cycle order.
-func (sm *SM) nextRetireCycle(now int64) int64 {
-	start := int(now & (retireRingSize - 1))
-	wordIdx := start >> 6
-	if m := sm.retireBits[wordIdx] >> uint(start&63); m != 0 {
-		return now + int64(bits.TrailingZeros64(m))
-	}
-	dist := int64(64 - start&63)
-	nWords := len(sm.retireBits)
-	for k := 1; k <= nWords; k++ {
-		if w := sm.retireBits[(wordIdx+k)&(nWords-1)]; w != 0 {
-			return now + dist + int64(64*(k-1)) + int64(bits.TrailingZeros64(w))
-		}
-	}
-	panic("sim: retireCount > 0 but no populated retire bucket")
 }
 
 // replaceCTAs launches queued CTAs into drained slots.
@@ -768,8 +600,8 @@ func (sm *SM) issueMemory(now int64, w *Warp, in *isa.Instr) bool {
 // that touch nothing shared (no device ops); accesses that need the device
 // are resolved by the parallel engine's coordinator while every worker is
 // parked at the barrier. Deferring scheduleRetire past the end of step is
-// invisible: the retire ring is only read by a later step's writeback and
-// fast-forward scan, both of which run afterwards.
+// invisible: the retire ring is only read by a later step's writeback, which
+// runs afterwards.
 func (sm *SM) resolveMemory() {
 	if len(sm.stagedRet) == 0 {
 		return
@@ -792,9 +624,6 @@ func (sm *SM) commitIssue(now int64, w *Warp, in *isa.Instr, p *Pipe, ii, latenc
 		sm.scheduleRetire(now, now+int64(latency), w, dstMask)
 	}
 	p.Start(now, in.Op, ii, latency)
-	if d := now + int64(latency); d > sm.maxDrainAt {
-		sm.maxDrainAt = d
-	}
 	if sm.tracer != nil {
 		sm.tracer(sm.id, now, w.id, in.Class(), p.Cluster())
 	}

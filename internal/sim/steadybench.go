@@ -34,7 +34,8 @@ func MeasureSteadyCycle(cfg config.Config, k *kernels.Kernel, warmup, measure in
 	sm := gpu.SMs()[0]
 	var cyc int64
 	for sm.st.Cycles < warmup && !sm.done() {
-		cyc = sm.step(cyc)
+		sm.step(cyc)
+		cyc++
 	}
 	if sm.done() {
 		return 0, 0, fmt.Errorf("sim: workload %s drained during warmup; scale it up", k.Name)
@@ -47,7 +48,8 @@ func MeasureSteadyCycle(cfg config.Config, k *kernels.Kernel, warmup, measure in
 		start := sm.st.Cycles
 		t0 := time.Now()
 		for sm.st.Cycles < start+measure && !sm.done() {
-			cyc = sm.step(cyc)
+			sm.step(cyc)
+			cyc++
 		}
 		elapsed := time.Since(t0)
 		runtime.ReadMemStats(&m1)

@@ -10,6 +10,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"warpedgates/internal/config"
@@ -77,22 +78,20 @@ func (c Cell) Key(base config.Config) string {
 	return core.JobKey(c.Bench, c.Config(base), c.Scale)
 }
 
-// Expand resolves the spec's defaults against base and returns the full
-// cross product in deterministic axis order (bench, technique, SMs, scale,
-// seed, idle-detect, break-even, wakeup). Axis values are deduplicated before
-// crossing, so the result is duplicate-free: distinct cells always differ in
-// at least one axis and therefore in their canonical key. Unknown benchmark
-// or technique names fail expansion.
-func Expand(spec Spec, base config.Config) ([]Cell, error) {
+// axes is a spec with its defaults resolved and every axis deduplicated.
+type axes struct {
+	benches, techNames      []string
+	sms, idles, bets, wakes []int
+	scales                  []float64
+	seeds                   []uint64
+}
+
+// resolve fills the spec's empty axes from base (the full paper set for
+// benchmarks and techniques) and deduplicates every axis.
+func resolve(spec Spec, base config.Config) axes {
 	benches := spec.Benches
 	if len(benches) == 0 {
 		benches = kernels.BenchmarkNames
-	}
-	benches = dedupStrings(benches)
-	for _, b := range benches {
-		if _, err := kernels.Benchmark(b); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
 	}
 	techNames := spec.Techniques
 	if len(techNames) == 0 {
@@ -100,36 +99,76 @@ func Expand(spec Spec, base config.Config) ([]Cell, error) {
 			techNames = append(techNames, t.String())
 		}
 	}
-	techNames = dedupStrings(techNames)
-	techs := make([]core.Technique, len(techNames))
-	for i, name := range techNames {
+	return axes{
+		benches:   dedupStrings(benches),
+		techNames: dedupStrings(techNames),
+		sms:       dedupInts(defaultInts(spec.SMs, base.NumSMs)),
+		scales:    dedupFloats(defaultFloats(spec.Scales, 1.0)),
+		seeds:     dedupUints(defaultUints(spec.Seeds, base.Seed)),
+		idles:     dedupInts(defaultInts(spec.IdleDetects, base.IdleDetect)),
+		bets:      dedupInts(defaultInts(spec.BreakEvens, base.BreakEven)),
+		wakes:     dedupInts(defaultInts(spec.WakeupDelays, base.WakeupDelay)),
+	}
+}
+
+// Size returns how many cells Expand would produce for spec, without
+// building any. Callers bound a grid with it before expanding, since a small
+// spec can describe an astronomically large grid. Names are not checked, so
+// an invalid spec still has a size.
+func Size(spec Spec, base config.Config) int {
+	return resolve(spec, base).size()
+}
+
+// size is the product of the axis lengths, saturating at math.MaxInt instead
+// of overflowing.
+func (a axes) size() int {
+	n := 1
+	for _, l := range []int{len(a.benches), len(a.techNames), len(a.sms), len(a.scales),
+		len(a.seeds), len(a.idles), len(a.bets), len(a.wakes)} {
+		if l > 0 && n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
+}
+
+// Expand resolves the spec's defaults against base and returns the full
+// cross product in deterministic axis order (bench, technique, SMs, scale,
+// seed, idle-detect, break-even, wakeup). Axis values are deduplicated before
+// crossing, so the result is duplicate-free: distinct cells always differ in
+// at least one axis and therefore in their canonical key. Unknown benchmark
+// or technique names fail expansion. Expand allocates every cell, so bound
+// untrusted specs with Size first.
+func Expand(spec Spec, base config.Config) ([]Cell, error) {
+	a := resolve(spec, base)
+	for _, b := range a.benches {
+		if _, err := kernels.Benchmark(b); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+	}
+	techs := make([]core.Technique, len(a.techNames))
+	for i, name := range a.techNames {
 		t, err := core.ParseTechnique(name)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
 		techs[i] = t
 	}
-	sms := dedupInts(defaultInts(spec.SMs, base.NumSMs))
-	scales := dedupFloats(defaultFloats(spec.Scales, 1.0))
-	seeds := dedupUints(defaultUints(spec.Seeds, base.Seed))
-	idles := dedupInts(defaultInts(spec.IdleDetects, base.IdleDetect))
-	bets := dedupInts(defaultInts(spec.BreakEvens, base.BreakEven))
-	wakes := dedupInts(defaultInts(spec.WakeupDelays, base.WakeupDelay))
 
-	cells := make([]Cell, 0,
-		len(benches)*len(techs)*len(sms)*len(scales)*len(seeds)*len(idles)*len(bets)*len(wakes))
-	for _, b := range benches {
+	cells := make([]Cell, 0, a.size())
+	for _, b := range a.benches {
 		for ti, tech := range techs {
-			for _, nsm := range sms {
-				for _, sc := range scales {
-					for _, seed := range seeds {
-						for _, idle := range idles {
-							for _, bet := range bets {
-								for _, wake := range wakes {
+			for _, nsm := range a.sms {
+				for _, sc := range a.scales {
+					for _, seed := range a.seeds {
+						for _, idle := range a.idles {
+							for _, bet := range a.bets {
+								for _, wake := range a.wakes {
 									cells = append(cells, Cell{
 										Bench:        b,
 										Technique:    tech,
-										TechName:     techNames[ti],
+										TechName:     a.techNames[ti],
 										SMs:          nsm,
 										Scale:        sc,
 										Seed:         seed,

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -86,10 +87,39 @@ func TestExpandDeterministicAndDuplicateFree(t *testing.T) {
 			t.Logf("seed %d: got %d cells, want %d", seed, len(a), want)
 			return false
 		}
+		if n := Size(spec, base); n != len(a) {
+			t.Logf("seed %d: Size says %d cells, Expand built %d", seed, n, len(a))
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSizeSaturates pins that Size counts grids too large to expand, and
+// saturates rather than wrapping when the product overflows an int.
+func TestSizeSaturates(t *testing.T) {
+	base := config.Small()
+	axis := make([]int, 1000)
+	for i := range axis {
+		axis[i] = i + 1
+	}
+	spec := Spec{SMs: axis, IdleDetects: axis, BreakEvens: axis, WakeupDelays: axis}
+	if got, want := Size(spec, base), 108*1000*1000*1000*1000; got != want {
+		t.Fatalf("Size = %d, want %d", got, want)
+	}
+	seeds := make([]uint64, 1000)
+	for i := range seeds {
+		seeds[i] = uint64(i)
+	}
+	spec.Seeds = seeds
+	for i := 1; i <= 100; i++ {
+		spec.Scales = append(spec.Scales, float64(i)/100)
+	}
+	if got := Size(spec, base); got != math.MaxInt {
+		t.Fatalf("Size of a 1.08e19-cell grid = %d, want saturation at %d", got, math.MaxInt)
 	}
 }
 
