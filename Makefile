@@ -96,15 +96,17 @@ store-faults:
 
 # Bounded fuzzing of the decoders that read untrusted bytes: the store entry
 # header parser and the report payload codec (bytes read back from disk),
-# and the POST /v1/jobs and /v1/sweeps request builders (bytes from the
-# network). None may panic; the disk decoders must round-trip what they
-# accept, and the request builders may only accept valid configurations and
-# sweeps within the server's cell limit.
+# the POST /v1/jobs and /v1/sweeps request builders (bytes from the
+# network), and the CLI's sweep spec file decoder. None may panic; the disk
+# decoders must round-trip what they accept, the request builders may only
+# accept valid configurations and sweeps within the server's cell limit, and
+# an accepted spec's Size must match what Expand builds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime 15s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 15s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 15s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 15s ./internal/sweep/
 
 # The HTTP service suite under the race detector: the table-driven API
 # contract (status codes, quota/backpressure 429s, drain 503s), the

@@ -45,13 +45,13 @@ func cmdSweep(args []string) error {
 
 	var spec sweep.Spec
 	if *specPath != "" {
-		b, err := os.ReadFile(*specPath)
+		f, err := os.Open(*specPath)
 		if err != nil {
 			return err
 		}
-		dec := json.NewDecoder(strings.NewReader(string(b)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err = sweep.DecodeSpec(f)
+		f.Close()
+		if err != nil {
 			return fmt.Errorf("sweep spec %s: %w", *specPath, err)
 		}
 	}
@@ -62,48 +62,38 @@ func cmdSweep(args []string) error {
 		spec.Techniques = splitList(*techs)
 	}
 	var err error
-	if spec.SMs, err = overrideInts(*smsList, spec.SMs); err != nil {
+	if spec.SMs, err = override(*smsList, spec.SMs, strconv.Atoi); err != nil {
 		return fmt.Errorf("-sms: %w", err)
 	}
-	if spec.IdleDetects, err = overrideInts(*idles, spec.IdleDetects); err != nil {
+	if spec.IdleDetects, err = override(*idles, spec.IdleDetects, strconv.Atoi); err != nil {
 		return fmt.Errorf("-idle-detects: %w", err)
 	}
-	if spec.BreakEvens, err = overrideInts(*bets, spec.BreakEvens); err != nil {
+	if spec.BreakEvens, err = override(*bets, spec.BreakEvens, strconv.Atoi); err != nil {
 		return fmt.Errorf("-break-evens: %w", err)
 	}
-	if spec.WakeupDelays, err = overrideInts(*wakes, spec.WakeupDelays); err != nil {
+	if spec.WakeupDelays, err = override(*wakes, spec.WakeupDelays, strconv.Atoi); err != nil {
 		return fmt.Errorf("-wakeup-delays: %w", err)
 	}
-	if *scales != "" {
-		spec.Scales = spec.Scales[:0]
-		for _, s := range splitList(*scales) {
-			f, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return fmt.Errorf("-scales: %w", err)
-			}
-			spec.Scales = append(spec.Scales, f)
-		}
+	parseFloat := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+	if spec.Scales, err = override(*scales, spec.Scales, parseFloat); err != nil {
+		return fmt.Errorf("-scales: %w", err)
 	}
-	if *seeds != "" {
-		spec.Seeds = spec.Seeds[:0]
-		for _, s := range splitList(*seeds) {
-			u, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("-seeds: %w", err)
-			}
-			spec.Seeds = append(spec.Seeds, u)
-		}
+	parseUint := func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }
+	if spec.Seeds, err = override(*seeds, spec.Seeds, parseUint); err != nil {
+		return fmt.Errorf("-seeds: %w", err)
 	}
 	if *sample != "" {
-		d, p, err := parseSample(*sample)
+		d, p, err := parsePair("-sample", "detail/period cycles, e.g. 1000/5000", *sample)
 		if err != nil {
 			return err
 		}
 		spec.SampleDetail, spec.SamplePeriod = d, p
 	}
-	shardI, shardN, err := parseShard(*shard)
-	if err != nil {
-		return err
+	shardI, shardN := 0, 1
+	if *shard != "" {
+		if shardI, shardN, err = parsePair("-shard", "i/n, e.g. 0/4", *shard); err != nil {
+			return err
+		}
 	}
 
 	base := config.GTX480()
@@ -182,52 +172,35 @@ func splitList(s string) []string {
 	return out
 }
 
-// overrideInts parses a comma-separated int list, keeping prev when the flag
-// is unset.
-func overrideInts(s string, prev []int) ([]int, error) {
+// override parses a comma-separated flag list with parse, keeping prev when
+// the flag is unset.
+func override[T any](s string, prev []T, parse func(string) (T, error)) ([]T, error) {
 	if s == "" {
 		return prev, nil
 	}
-	var out []int
+	var out []T
 	for _, v := range splitList(s) {
-		n, err := strconv.Atoi(v)
+		x, err := parse(v)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, n)
+		out = append(out, x)
 	}
 	return out, nil
 }
 
-// parseSample parses the detail/period pair of the -sample flag.
-func parseSample(s string) (detail, period int, err error) {
-	d, p, ok := strings.Cut(s, "/")
+// parsePair parses the a/b integer pair of the named flag; form describes
+// the expected input for the error message.
+func parsePair(flag, form, s string) (a, b int, err error) {
+	x, y, ok := strings.Cut(s, "/")
 	if !ok {
-		return 0, 0, fmt.Errorf("-sample: want detail/period cycles, e.g. 1000/5000, got %q", s)
+		return 0, 0, fmt.Errorf("%s: want %s, got %q", flag, form, s)
 	}
-	if detail, err = strconv.Atoi(d); err != nil {
-		return 0, 0, fmt.Errorf("-sample: %w", err)
+	if a, err = strconv.Atoi(x); err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", flag, err)
 	}
-	if period, err = strconv.Atoi(p); err != nil {
-		return 0, 0, fmt.Errorf("-sample: %w", err)
+	if b, err = strconv.Atoi(y); err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", flag, err)
 	}
-	return detail, period, nil
-}
-
-// parseShard parses -shard i/n; empty means the whole grid.
-func parseShard(s string) (i, n int, err error) {
-	if s == "" {
-		return 0, 1, nil
-	}
-	a, b, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("-shard: want i/n, e.g. 0/4, got %q", s)
-	}
-	if i, err = strconv.Atoi(a); err != nil {
-		return 0, 0, fmt.Errorf("-shard: %w", err)
-	}
-	if n, err = strconv.Atoi(b); err != nil {
-		return 0, 0, fmt.Errorf("-shard: %w", err)
-	}
-	return i, n, nil
+	return a, b, nil
 }

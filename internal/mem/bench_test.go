@@ -46,3 +46,24 @@ func BenchmarkGlobalAccess(b *testing.B) {
 		p.GlobalAccess(int64(i)*1000, lines)
 	}
 }
+
+// BenchmarkMSHR drives a 32-entry table at full occupancy: every iteration
+// expires the oldest entry, misses a lookup across the whole table, hits one,
+// and allocates a replacement.
+func BenchmarkMSHR(b *testing.B) {
+	const entries = 32
+	m := NewMSHR(entries)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := int64(i)
+		m.ExpireBefore(now)
+		fill, _ := m.Lookup(Line(i - 1))
+		mshrSink += fill
+		if _, ok := m.Lookup(Line(i)); !ok && m.HasRoom(1) {
+			m.Allocate(Line(i), now+entries)
+		}
+	}
+}
+
+// mshrSink keeps BenchmarkMSHR's hit lookups from being optimized away.
+var mshrSink int64

@@ -20,14 +20,16 @@ const pendingFill = math.MaxInt64
 // two-level scheduler. Because the simulator resolves access timing at issue,
 // each entry carries its completion cycle, and entries expire when the
 // simulated clock passes it.
+// The table is two parallel fixed-capacity slices scanned linearly (no
+// hashing, no allocation after construction); entry order carries no meaning.
 type MSHR struct {
-	capacity int
-	pending  map[Line]int64 // line -> fill completion cycle
+	lines []Line  // in-flight lines; cap is the table capacity
+	fills []int64 // fills[i] is the fill completion cycle of lines[i]
 	// minFill is a lower bound on the earliest fill cycle in the table
 	// (math.MaxInt64 when empty or all-pending). It lets ExpireBefore skip
-	// the map walk on the overwhelmingly common quiescent cycle where
-	// nothing can expire; deletions may leave it stale-low, which costs an
-	// extra walk, never a missed expiry.
+	// the sweep on the overwhelmingly common quiescent cycle where nothing
+	// can expire; deletions may leave it stale-low, which costs an extra
+	// sweep, never a missed expiry.
 	minFill int64
 	merges  uint64
 	allocs  uint64
@@ -39,31 +41,44 @@ func NewMSHR(capacity int) *MSHR {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("mem: MSHR capacity must be positive, got %d", capacity))
 	}
-	return &MSHR{capacity: capacity, pending: make(map[Line]int64, capacity), minFill: math.MaxInt64}
+	return &MSHR{lines: make([]Line, 0, capacity), fills: make([]int64, 0, capacity), minFill: math.MaxInt64}
+}
+
+// find returns the index of line's entry, or -1.
+func (m *MSHR) find(line Line) int {
+	for i, l := range m.lines {
+		if l == line {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the completion cycle of an outstanding miss to line, if any.
 // A secondary miss to a pending line merges with it and completes together —
 // real MSHR merge semantics.
 func (m *MSHR) Lookup(line Line) (completeAt int64, pending bool) {
-	c, ok := m.pending[line]
-	return c, ok
+	if i := m.find(line); i >= 0 {
+		return m.fills[i], true
+	}
+	return 0, false
 }
 
 // HasRoom reports whether n new (non-merging) entries can be allocated.
-func (m *MSHR) HasRoom(n int) bool { return len(m.pending)+n <= m.capacity }
+func (m *MSHR) HasRoom(n int) bool { return len(m.lines)+n <= cap(m.lines) }
 
 // Allocate records an outstanding miss for line completing at completeAt.
 // It panics if the table is full or the line is already pending; callers
 // must Lookup and HasRoom first.
 func (m *MSHR) Allocate(line Line, completeAt int64) {
-	if _, ok := m.pending[line]; ok {
+	if m.find(line) >= 0 {
 		panic(fmt.Sprintf("mem: MSHR double allocation for line %#x", uint64(line)))
 	}
-	if len(m.pending) >= m.capacity {
+	if len(m.lines) >= cap(m.lines) {
 		panic("mem: MSHR overflow — caller must check HasRoom")
 	}
-	m.pending[line] = completeAt
+	m.lines = append(m.lines, line)
+	m.fills = append(m.fills, completeAt)
 	if completeAt < m.minFill {
 		m.minFill = completeAt
 	}
@@ -81,14 +96,14 @@ func (m *MSHR) AllocatePending(line Line) { m.Allocate(line, pendingFill) }
 // the line has no entry or was already patched — both indicate a stage/resolve
 // protocol violation, not a recoverable condition.
 func (m *MSHR) Patch(line Line, completeAt int64) {
-	c, ok := m.pending[line]
-	if !ok {
+	i := m.find(line)
+	if i < 0 {
 		panic(fmt.Sprintf("mem: MSHR patch for line %#x with no staged entry", uint64(line)))
 	}
-	if c != pendingFill {
+	if m.fills[i] != pendingFill {
 		panic(fmt.Sprintf("mem: MSHR double patch for line %#x", uint64(line)))
 	}
-	m.pending[line] = completeAt
+	m.fills[i] = completeAt
 	if completeAt < m.minFill {
 		m.minFill = completeAt
 	}
@@ -102,27 +117,33 @@ func (m *MSHR) NoteFull() { m.full++ }
 
 // ExpireBefore releases every entry whose fill returned at or before now.
 // Quiescent calls — no entry can have expired yet — are O(1) via the minFill
-// bound; the sweep recomputes the exact minimum over the survivors.
+// bound; the sweep compacts the survivors in place and recomputes the exact
+// minimum over them.
 func (m *MSHR) ExpireBefore(now int64) {
 	if now < m.minFill {
 		return
 	}
 	min := int64(math.MaxInt64)
-	for line, till := range m.pending {
+	k := 0
+	for i, till := range m.fills {
 		if till <= now {
-			delete(m.pending, line)
-		} else if till < min {
+			continue
+		}
+		m.lines[k], m.fills[k] = m.lines[i], till
+		k++
+		if till < min {
 			min = till
 		}
 	}
+	m.lines, m.fills = m.lines[:k], m.fills[:k]
 	m.minFill = min
 }
 
 // InFlight returns the number of outstanding lines.
-func (m *MSHR) InFlight() int { return len(m.pending) }
+func (m *MSHR) InFlight() int { return len(m.lines) }
 
 // Capacity returns the table size.
-func (m *MSHR) Capacity() int { return m.capacity }
+func (m *MSHR) Capacity() int { return cap(m.lines) }
 
 // Stats returns allocation, merge and full-stall counters.
 func (m *MSHR) Stats() (allocs, merges, fullStalls uint64) {

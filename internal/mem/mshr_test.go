@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +230,84 @@ func TestMSHRQuiescentExpireKeepsPendingEntry(t *testing.T) {
 	m.ExpireBefore(100)
 	if m.InFlight() != 0 {
 		t.Fatal("entry survived its fill cycle")
+	}
+}
+
+// panics reports whether f panicked.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestMSHRMatchesMapModel runs random traffic — including the four protocol
+// violations — against a map-backed reference model of the table and checks
+// every observable (Lookup, HasRoom, InFlight) after each operation. A call
+// the model rejects must panic and leave the table unchanged.
+func TestMSHRMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.Intn(32)
+		m := NewMSHR(capacity)
+		model := map[Line]int64{}
+		now := int64(0)
+		for op := 0; op < 400; op++ {
+			line := Line(rng.Intn(2 * capacity))
+			fill, inModel := model[line]
+			switch k := rng.Intn(6); k {
+			case 0: // Allocate with a known fill cycle
+				c := now + 1 + int64(rng.Intn(64))
+				bad := inModel || len(model) >= capacity
+				if got := panics(func() { m.Allocate(line, c) }); got != bad {
+					t.Fatalf("trial %d op %d: Allocate(%d) panicked=%v, model says %v", trial, op, line, got, bad)
+				}
+				if !bad {
+					model[line] = c
+				}
+			case 1: // AllocatePending
+				bad := inModel || len(model) >= capacity
+				if got := panics(func() { m.AllocatePending(line) }); got != bad {
+					t.Fatalf("trial %d op %d: AllocatePending(%d) panicked=%v, model says %v", trial, op, line, got, bad)
+				}
+				if !bad {
+					model[line] = pendingFill
+				}
+			case 2: // Patch: missing entry and double patch must panic
+				c := now + 1 + int64(rng.Intn(64))
+				bad := !inModel || fill != pendingFill
+				if got := panics(func() { m.Patch(line, c) }); got != bad {
+					t.Fatalf("trial %d op %d: Patch(%d) panicked=%v, model says %v", trial, op, line, got, bad)
+				}
+				if !bad {
+					model[line] = c
+				}
+			case 3: // advance the clock and expire
+				now += int64(rng.Intn(16))
+				m.ExpireBefore(now)
+				for l, till := range model {
+					if till <= now {
+						delete(model, l)
+					}
+				}
+			case 4: // HasRoom for a random request size
+				n := rng.Intn(capacity + 2)
+				if got, want := m.HasRoom(n), len(model)+n <= capacity; got != want {
+					t.Fatalf("trial %d op %d: HasRoom(%d) = %v, model %v", trial, op, n, got, want)
+				}
+			default: // Lookup of a random line
+				got, ok := m.Lookup(line)
+				if ok != inModel || (ok && got != fill) {
+					t.Fatalf("trial %d op %d: Lookup(%d) = %d,%v, model %d,%v", trial, op, line, got, ok, fill, inModel)
+				}
+			}
+			if m.InFlight() != len(model) || m.Capacity() != capacity {
+				t.Fatalf("trial %d op %d: in-flight %d/%d, model %d/%d", trial, op, m.InFlight(), m.Capacity(), len(model), capacity)
+			}
+			for l, till := range model {
+				if got, ok := m.Lookup(l); !ok || got != till {
+					t.Fatalf("trial %d op %d: line %d = %d,%v, model %d", trial, op, l, got, ok, till)
+				}
+			}
+		}
 	}
 }

@@ -6,40 +6,41 @@ import (
 	"warpedgates/internal/isa"
 )
 
-// benchCands builds a mixed 24-candidate list.
-func benchCands() []Candidate {
-	out := make([]Candidate, 24)
-	for i := range out {
-		out[i] = Candidate{WarpIdx: i * 2, Class: isa.Class(i % 4)}
+// benchMasks builds a mixed 24-warp ready set (every other slot of a
+// 48-warp table) with all four classes, plus a non-ready half.
+func benchMasks() (ready uint64, byClass [isa.NumClasses]uint64) {
+	for i := 0; i < 48; i++ {
+		byClass[isa.Class(i/2%4)] |= 1 << uint(i)
+		if i%2 == 0 {
+			ready |= 1 << uint(i)
+		}
 	}
-	return out
+	return ready, byClass
 }
 
-func BenchmarkTwoLevelArrange(b *testing.B) {
-	p := NewTwoLevel()
-	st := &SMState{NumWarps: 48}
-	cands := benchCands()
-	buf := make([]Candidate, len(cands))
+// benchWalk walks the full order once per iteration and issues its first
+// warp, the worst case for a slot whose first candidates all stall.
+func benchWalk(b *testing.B, p Policy, update func()) {
+	ready, byClass := benchMasks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(buf, cands)
-		p.Arrange(buf, st)
-		p.OnIssue(buf[0])
+		update()
+		w := p.Order().Walk(ready, &byClass)
+		issued := w.Next()
+		for w.Next() >= 0 {
+		}
+		p.OnIssue(issued)
 	}
 }
 
-func BenchmarkGATESArrange(b *testing.B) {
+func BenchmarkTwoLevelWalk(b *testing.B) {
+	benchWalk(b, NewTwoLevel(), func() {})
+}
+
+func BenchmarkGATESWalk(b *testing.B) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 48}
+	st := &SMState{}
 	st.ACTV[isa.INT] = 6
 	st.ACTV[isa.FP] = 6
-	cands := benchCands()
-	buf := make([]Candidate, len(cands))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.UpdatePriority(st)
-		copy(buf, cands)
-		g.Arrange(buf, st)
-		g.OnIssue(buf[0])
-	}
+	benchWalk(b, g, func() { g.UpdatePriority(st) })
 }

@@ -30,18 +30,23 @@ type GATES struct {
 	hold    int
 
 	switches uint64
-
-	// buckets are reusable scratch space for Arrange's priority sort.
-	buckets [4][]Candidate
 }
+
+// The class-priority groups [hi] [LDST] [SFU] [lo] for either ALU type
+// holding the highest priority (paper §4.1: memory first among the middle
+// classes).
+var (
+	intHighGroups = []ClassSet{1 << isa.INT, 1 << isa.LDST, 1 << isa.SFU, 1 << isa.FP}
+	fpHighGroups  = []ClassSet{1 << isa.FP, 1 << isa.LDST, 1 << isa.SFU, 1 << isa.INT}
+)
 
 // NewGATES returns a gating-aware scheduler with INT initially highest
 // (paper §4.1: "We initialize INT as the highest priority").
 func NewGATES() *GATES { return &GATES{highIsINT: true, last: -1} }
 
 // UpdatePriority applies the dynamic priority-switch rules. The simulator
-// calls it once per SM per cycle, before either scheduler slot arranges its
-// candidates.
+// calls it once per SM per cycle, before either scheduler slot walks its
+// ready warps.
 func (g *GATES) UpdatePriority(st *SMState) {
 	hi, lo := g.highLow()
 	swap := false
@@ -74,44 +79,16 @@ func (g *GATES) highLow() (hi, lo isa.Class) {
 	return isa.FP, isa.INT
 }
 
-// rank maps a class to its priority rank under the current ordering
-// [hi, LDST, SFU, lo] (paper §4.1: memory first among the middle classes).
-func (g *GATES) rank(c isa.Class) int {
-	hi, _ := g.highLow()
-	switch c {
-	case hi:
-		return 0
-	case isa.LDST:
-		return 1
-	case isa.SFU:
-		return 2
-	default: // lo
-		return 3
+// Order ranks the classes by type priority, round-robin within a type.
+func (g *GATES) Order() Order {
+	if g.highIsINT {
+		return Order{Pivot: g.last, Groups: intHighGroups}
 	}
-}
-
-// Arrange orders candidates by type priority, round-robin within a type.
-func (g *GATES) Arrange(cands []Candidate, st *SMState) {
-	if len(cands) < 2 {
-		return
-	}
-	rotate(cands, g.last)
-	// Bucket by rank, preserving the rotated order within each bucket.
-	for r := range g.buckets {
-		g.buckets[r] = g.buckets[r][:0]
-	}
-	for _, c := range cands {
-		r := g.rank(c.Class)
-		g.buckets[r] = append(g.buckets[r], c)
-	}
-	out := cands[:0]
-	for r := range g.buckets {
-		out = append(out, g.buckets[r]...)
-	}
+	return Order{Pivot: g.last, Groups: fpHighGroups}
 }
 
 // OnIssue records the issued warp for round-robin fairness within a type.
-func (g *GATES) OnIssue(c Candidate) { g.last = c.WarpIdx }
+func (g *GATES) OnIssue(warp int) { g.last = warp }
 
 // Name returns "GATES".
 func (g *GATES) Name() string { return "GATES" }

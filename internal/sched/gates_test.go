@@ -16,23 +16,29 @@ func TestGATESInitialPriorityIsINT(t *testing.T) {
 
 func TestGATESOrdering(t *testing.T) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
-	cands := []Candidate{
+	cands := []candidate{
 		cand(0, isa.FP), cand(1, isa.SFU), cand(2, isa.LDST), cand(3, isa.INT), cand(4, isa.FP),
 	}
-	g.Arrange(cands, st)
+	order := walkAll(g.Order(), cands...)
 	// Expected rank order with INT high: INT, LDST, SFU, FP.
+	class := map[int]isa.Class{}
+	for _, c := range cands {
+		class[c.warp] = c.class
+	}
 	wantClasses := []isa.Class{isa.INT, isa.LDST, isa.SFU, isa.FP, isa.FP}
-	for i, c := range cands {
-		if c.Class != wantClasses[i] {
-			t.Fatalf("position %d: got %s, want %s (order %v)", i, c.Class, wantClasses[i], cands)
+	if len(order) != len(wantClasses) {
+		t.Fatalf("walk visited %v, want %d warps", order, len(wantClasses))
+	}
+	for i, w := range order {
+		if class[w] != wantClasses[i] {
+			t.Fatalf("position %d: got %s, want %s (order %v)", i, class[w], wantClasses[i], order)
 		}
 	}
 }
 
 func TestGATESPrioritySwitchOnDrain(t *testing.T) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
+	st := &SMState{}
 	st.ACTV[isa.INT] = 0
 	st.ACTV[isa.FP] = 3
 	g.UpdatePriority(st)
@@ -53,7 +59,7 @@ func TestGATESPrioritySwitchOnDrain(t *testing.T) {
 
 func TestGATESNoSwitchWhenBothEmpty(t *testing.T) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
+	st := &SMState{}
 	g.UpdatePriority(st) // ACTV all zero: hold
 	if g.HighPriority() != isa.INT {
 		t.Fatal("switched with empty subsets")
@@ -64,7 +70,7 @@ func TestGATESBlackoutSwitch(t *testing.T) {
 	// §5: switch priority when every cluster of the highest type is in
 	// blackout and the other type has ready work.
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
+	st := &SMState{}
 	st.ACTV[isa.INT] = 4
 	st.ACTV[isa.FP] = 4
 	st.RDY[isa.FP] = 2
@@ -77,7 +83,7 @@ func TestGATESBlackoutSwitch(t *testing.T) {
 
 func TestGATESBlackoutSwitchNeedsReadyWork(t *testing.T) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
+	st := &SMState{}
 	st.ACTV[isa.INT] = 4
 	st.AllBlackout[isa.INT] = true
 	st.RDY[isa.FP] = 0
@@ -90,7 +96,7 @@ func TestGATESBlackoutSwitchNeedsReadyWork(t *testing.T) {
 func TestGATESMaxHold(t *testing.T) {
 	g := NewGATES()
 	g.MaxHold = 3
-	st := &SMState{NumWarps: 16}
+	st := &SMState{}
 	st.ACTV[isa.INT] = 4
 	st.ACTV[isa.FP] = 4
 	for i := 0; i < 3; i++ {
@@ -107,14 +113,10 @@ func TestGATESMaxHold(t *testing.T) {
 
 func TestGATESRoundRobinWithinType(t *testing.T) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
-	cands := []Candidate{cand(0, isa.INT), cand(4, isa.INT), cand(8, isa.INT)}
-	g.Arrange(cands, st)
-	g.OnIssue(cands[0]) // warp 0
-	cands = []Candidate{cand(0, isa.INT), cand(4, isa.INT), cand(8, isa.INT)}
-	g.Arrange(cands, st)
-	if cands[0].WarpIdx != 4 {
-		t.Fatalf("round-robin within type broken: %v", idxOrder(cands))
+	cands := []candidate{cand(0, isa.INT), cand(4, isa.INT), cand(8, isa.INT)}
+	g.OnIssue(first(g, cands...)) // warp 0
+	if got := walkAll(g.Order(), cands...); got[0] != 4 {
+		t.Fatalf("round-robin within type broken: %v", got)
 	}
 }
 
@@ -125,30 +127,29 @@ func TestGATESSeparatesINTAndFPToEnds(t *testing.T) {
 	f := func(classRaw []uint8, flip bool) bool {
 		g := NewGATES()
 		if flip {
-			st := &SMState{NumWarps: 64}
-			st.ACTV[isa.FP] = 1 // force a switch to FP-high
-			g.UpdatePriority(st)
+			g = fpHigh()
 		}
-		var cands []Candidate
+		var cands []candidate
+		class := map[int]isa.Class{}
 		for i, cr := range classRaw {
+			if i == 64 {
+				break
+			}
 			cands = append(cands, cand(i, isa.Class(cr%4)))
+			class[i] = isa.Class(cr % 4)
 		}
-		st := &SMState{NumWarps: 64}
-		g.Arrange(cands, st)
-		hi := g.HighPriority()
 		lo := isa.FP
-		if hi == isa.FP {
+		if g.HighPriority() == isa.FP {
 			lo = isa.INT
 		}
-		// After the first lo-class candidate, only lo-class may follow.
+		// After the first lo-class warp, only lo-class may follow.
 		seenLo := false
-		for _, c := range cands {
-			if c.Class == lo {
+		for _, w := range walkAll(g.Order(), cands...) {
+			if class[w] == lo {
 				seenLo = true
 			} else if seenLo {
 				return false
 			}
-			_ = hi
 		}
 		return true
 	}
@@ -158,27 +159,34 @@ func TestGATESSeparatesINTAndFPToEnds(t *testing.T) {
 }
 
 func TestGATESArrangePreservesCandidateSet(t *testing.T) {
-	// Property: Arrange permutes, never adds or drops candidates.
-	f := func(classRaw []uint8) bool {
+	// Property: the walk visits every ready warp exactly once and nothing
+	// else, for any pivot.
+	f := func(classRaw []uint8, pivotRaw uint8) bool {
 		g := NewGATES()
-		var cands []Candidate
+		if pivot := int(pivotRaw%65) - 1; pivot >= 0 {
+			g.OnIssue(pivot)
+		}
+		var cands []candidate
+		before := map[int]bool{}
 		for i, cr := range classRaw {
+			if i == 64 {
+				break
+			}
+			if cr&0x80 != 0 {
+				continue // not ready
+			}
 			cands = append(cands, cand(i, isa.Class(cr%4)))
+			before[i] = true
 		}
-		before := map[int]isa.Class{}
-		for _, c := range cands {
-			before[c.WarpIdx] = c.Class
-		}
-		g.Arrange(cands, &SMState{NumWarps: 64})
-		if len(cands) != len(before) {
+		visited := walkAll(g.Order(), cands...)
+		if len(visited) != len(before) {
 			return false
 		}
-		for _, c := range cands {
-			cls, ok := before[c.WarpIdx]
-			if !ok || cls != c.Class {
+		for _, w := range visited {
+			if !before[w] {
 				return false
 			}
-			delete(before, c.WarpIdx)
+			delete(before, w)
 		}
 		return len(before) == 0
 	}

@@ -4,26 +4,21 @@
 // the gating-aware two-level scheduler that is the paper's first
 // contribution.
 //
-// The simulator builds, once per scheduler slot per cycle, the list of ready
-// candidates (warps in the active set whose next instruction has all operands
-// ready); the policy orders that list, and the issue arbiter walks it until
-// one candidate passes the structural and gating checks. Two policy instances
-// per SM model Fermi's dual schedulers; GATES instances share per-SM priority
-// state, matching the paper's single per-SM priority register.
+// A policy never sees a candidate list. Once per scheduler slot per cycle it
+// reports its issue order as data (Order): a round-robin pivot, which is the
+// last warp it issued, and its class-priority groups. The simulator walks the
+// slot's ready-warp bitmask in that order (Walk) until one warp passes the
+// structural and gating checks, then reports the issued warp back through
+// OnIssue. Two policy instances per SM model Fermi's dual schedulers; GATES
+// instances share per-SM priority state, matching the paper's single per-SM
+// priority register.
 package sched
 
 import (
-	"fmt"
+	"math/bits"
 
 	"warpedgates/internal/isa"
 )
-
-// Candidate is one issue-eligible warp: its index in the SM warp table and
-// the execution-unit class of its next instruction.
-type Candidate struct {
-	WarpIdx int
-	Class   isa.Class
-}
 
 // SMState is the per-cycle scheduler-visible SM state: the per-type counters
 // the paper adds for GATES (ACTV and RDY, §6) plus blackout visibility for
@@ -37,87 +32,122 @@ type SMState struct {
 	// AllBlackout reports that every cluster of a type is in blackout, so
 	// issuing that type is impossible for at least the break-even time.
 	AllBlackout [isa.NumClasses]bool
-	// NumWarps is the SM warp-table size, for round-robin arithmetic.
-	NumWarps int
 }
 
-// Policy orders issue candidates. Implementations may keep history (e.g.
+// ClassSet is a set of instruction classes: bit c stands for isa.Class(c).
+type ClassSet uint8
+
+// mask returns the warps whose next instruction is of a class in s, given
+// the per-class warp bitmasks.
+func (s ClassSet) mask(byClass *[isa.NumClasses]uint64) uint64 {
+	var m uint64
+	for ; s != 0; s &= s - 1 {
+		m |= byClass[bits.TrailingZeros8(uint8(s))]
+	}
+	return m
+}
+
+// Order is a policy's issue order for one scheduler slot in one cycle. Warps
+// are visited group by group, in the order of Groups; within a group, first
+// the warps above Pivot and then the rest, each part in ascending warp index
+// (loose round-robin after the last-issued warp). Groups is shared and must
+// not be modified.
+type Order struct {
+	// Pivot is the last-issued warp, or -1 before the first issue.
+	Pivot int
+	// Groups are the class-priority groups, highest priority first.
+	Groups []ClassSet
+}
+
+// Walk enumerates the warps of ready in o's issue order. byClass gives, per
+// class, the warps whose next instruction is of that class; ready must be a
+// subset of their union. The walk reads byClass as it advances from group to
+// group, so byClass must not change while it is in use.
+func (o Order) Walk(ready uint64, byClass *[isa.NumClasses]uint64) Walk {
+	// Shifting by 64 (pivot 63) yields 0 for an unsigned operand.
+	return Walk{ready: ready, above: ^uint64(0) << uint(o.Pivot+1), byClass: byClass, groups: o.Groups}
+}
+
+// Walk is an in-progress priority walk over a ready-warp bitmask. Each class
+// group splits into the part above the pivot and the rest; each part is
+// visited in ascending warp index, and a group's masks are only computed
+// once the walk reaches it, so a walk touches only the warps it returns.
+type Walk struct {
+	ready, above uint64
+	byClass      *[isa.NumClasses]uint64
+	groups       []ClassSet // groups not yet reached
+	cur, rest    uint64     // unvisited warps of the current part; the group's other part
+}
+
+// Next returns the next warp of the walk, or -1 when every warp was visited.
+func (w *Walk) Next() int {
+	for w.cur == 0 {
+		if w.rest != 0 {
+			w.cur, w.rest = w.rest, 0
+			continue
+		}
+		if len(w.groups) == 0 {
+			return -1
+		}
+		m := w.ready & w.groups[0].mask(w.byClass)
+		w.groups = w.groups[1:]
+		w.cur, w.rest = m&w.above, m&^w.above
+	}
+	warp := bits.TrailingZeros64(w.cur)
+	w.cur &= w.cur - 1
+	return warp
+}
+
+// Policy decides the issue order. Implementations may keep history (e.g.
 // round-robin pointers) and are informed of every successful issue.
 type Policy interface {
-	// Arrange reorders cands in place into descending issue priority.
-	Arrange(cands []Candidate, st *SMState)
-	// OnIssue notifies the policy that the candidate was issued.
-	OnIssue(c Candidate)
+	// Order returns the issue order for the slot's next walk.
+	Order() Order
+	// OnIssue notifies the policy that warp was issued.
+	OnIssue(warp int)
 	// Name returns the policy's short name.
 	Name() string
 }
 
-// rotate reorders cands so the first warp index strictly greater than pivot
-// comes first, preserving relative order otherwise — the classic loose
-// round-robin arrangement.
-func rotate(cands []Candidate, pivot int) {
-	if len(cands) < 2 {
-		return
-	}
-	split := len(cands)
-	for i, c := range cands {
-		if c.WarpIdx > pivot {
-			split = i
-			break
-		}
-	}
-	if split == 0 || split == len(cands) {
-		return
-	}
-	// In-place block swap via three reversals — this runs once per scheduler
-	// slot per cycle, so it must not allocate.
-	reverse(cands[:split])
-	reverse(cands[split:])
-	reverse(cands)
+// allClassesGroup is the single class group of the type-blind policies:
+// every instruction class.
+var allClassesGroup = []ClassSet{1<<isa.NumClasses - 1}
+
+// roundRobin is loose round-robin after the last-issued warp, blind to
+// instruction type.
+type roundRobin struct {
+	last int
 }
 
-// reverse flips cands in place.
-func reverse(cands []Candidate) {
-	for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
-		cands[i], cands[j] = cands[j], cands[i]
-	}
-}
+// Order puts every class in one group, pivoted on the last-issued warp.
+func (p *roundRobin) Order() Order { return Order{Pivot: p.last, Groups: allClassesGroup} }
+
+// OnIssue records the issued warp for the next rotation.
+func (p *roundRobin) OnIssue(warp int) { p.last = warp }
 
 // LRR is a loose round-robin scheduler with no type awareness; it serves as
 // the simplest ablation baseline.
 type LRR struct {
-	last int
+	roundRobin
 }
 
 // NewLRR returns a loose round-robin policy.
-func NewLRR() *LRR { return &LRR{last: -1} }
-
-// Arrange rotates the candidates after the last-issued warp.
-func (p *LRR) Arrange(cands []Candidate, st *SMState) { rotate(cands, p.last) }
-
-// OnIssue records the issued warp for the next rotation.
-func (p *LRR) OnIssue(c Candidate) { p.last = c.WarpIdx }
+func NewLRR() *LRR { return &LRR{roundRobin{last: -1}} }
 
 // Name returns "LRR".
 func (p *LRR) Name() string { return "LRR" }
 
 // TwoLevel is the paper's baseline scheduler: warps waiting on long-latency
 // events live in a pending set (enforced by the simulator — they are never
-// candidates), and ready warps issue greedily in loose round-robin order
-// without regard to instruction type. The greedy interspersing of types is
-// precisely what produces the short idle periods of paper Figure 3a.
+// ready), and ready warps issue greedily in loose round-robin order without
+// regard to instruction type. The greedy interspersing of types is precisely
+// what produces the short idle periods of paper Figure 3a.
 type TwoLevel struct {
-	last int
+	roundRobin
 }
 
 // NewTwoLevel returns a two-level baseline policy.
-func NewTwoLevel() *TwoLevel { return &TwoLevel{last: -1} }
-
-// Arrange rotates the ready candidates after the last-issued warp.
-func (p *TwoLevel) Arrange(cands []Candidate, st *SMState) { rotate(cands, p.last) }
-
-// OnIssue records the issued warp for the next rotation.
-func (p *TwoLevel) OnIssue(c Candidate) { p.last = c.WarpIdx }
+func NewTwoLevel() *TwoLevel { return &TwoLevel{roundRobin{last: -1}} }
 
 // Name returns "TwoLevel".
 func (p *TwoLevel) Name() string { return "TwoLevel" }
@@ -128,6 +158,3 @@ var (
 	_ Policy = (*TwoLevel)(nil)
 	_ Policy = (*GATES)(nil)
 )
-
-// fmt is used by priority debugging helpers.
-var _ = fmt.Sprintf

@@ -1,19 +1,45 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"warpedgates/internal/isa"
 )
 
-func cand(idx int, c isa.Class) Candidate { return Candidate{WarpIdx: idx, Class: c} }
+// candidate is one ready warp and the class of its next instruction.
+type candidate struct {
+	warp  int
+	class isa.Class
+}
 
-func idxOrder(cands []Candidate) []int {
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.WarpIdx
+func cand(warp int, c isa.Class) candidate { return candidate{warp: warp, class: c} }
+
+// masks builds the ready mask and per-class warp bitmasks of cands.
+func masks(cands []candidate) (ready uint64, byClass [isa.NumClasses]uint64) {
+	for _, c := range cands {
+		ready |= 1 << uint(c.warp)
+		byClass[c.class] |= 1 << uint(c.warp)
+	}
+	return ready, byClass
+}
+
+// walkAll returns every warp of cands in o's issue order.
+func walkAll(o Order, cands ...candidate) []int {
+	ready, byClass := masks(cands)
+	w := o.Walk(ready, &byClass)
+	out := []int{}
+	for i := w.Next(); i >= 0; i = w.Next() {
+		out = append(out, i)
 	}
 	return out
+}
+
+// first returns the warp p would try first among cands.
+func first(p Policy, cands ...candidate) int {
+	ready, byClass := masks(cands)
+	w := p.Order().Walk(ready, &byClass)
+	return w.Next()
 }
 
 func equalInts(a, b []int) bool {
@@ -28,70 +54,185 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// oracleRotate and oracleOrder are the issue stage before the bitmask
+// walk, kept as the reference the walk must reproduce: the candidate list in
+// ascending warp order, rotated so the first warp above the pivot leads
+// (three in-place reversals), then stably bucketed by class rank.
+func oracleRotate(cands []candidate, pivot int) {
+	split := len(cands)
+	for i, c := range cands {
+		if c.warp > pivot {
+			split = i
+			break
+		}
+	}
+	if split == 0 || split == len(cands) {
+		return
+	}
+	oracleReverse(cands[:split])
+	oracleReverse(cands[split:])
+	oracleReverse(cands)
+}
+
+func oracleReverse(cands []candidate) {
+	for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
+		cands[i], cands[j] = cands[j], cands[i]
+	}
+}
+
+func oracleOrder(cands []candidate, pivot int, rank func(isa.Class) int) []int {
+	oracleRotate(cands, pivot)
+	var buckets [isa.NumClasses][]candidate
+	for _, c := range cands {
+		r := rank(c.class)
+		buckets[r] = append(buckets[r], c)
+	}
+	out := []int{}
+	for _, b := range buckets {
+		for _, c := range b {
+			out = append(out, c.warp)
+		}
+	}
+	return out
+}
+
+// gatesRank is GATES's class rank under [hi, LDST, SFU, lo].
+func gatesRank(hi isa.Class) func(isa.Class) int {
+	return func(c isa.Class) int {
+		switch c {
+		case hi:
+			return 0
+		case isa.LDST:
+			return 1
+		case isa.SFU:
+			return 2
+		default:
+			return 3
+		}
+	}
+}
+
+// fpHigh returns a GATES instance whose priority switched to FP.
+func fpHigh() *GATES {
+	g := NewGATES()
+	st := &SMState{}
+	st.ACTV[isa.FP] = 1
+	g.UpdatePriority(st)
+	return g
+}
+
+// TestWalkMatchesRotateThenBucket pins the bitmask walk to the old
+// rotate-then-stable-bucket arrangement for random ready masks and classes,
+// every pivot, and every policy (GATES under both priorities).
+func TestWalkMatchesRotateThenBucket(t *testing.T) {
+	type policyCase struct {
+		name string
+		make func() Policy
+		rank func(isa.Class) int
+	}
+	flat := func(isa.Class) int { return 0 }
+	policies := []policyCase{
+		{"LRR", func() Policy { return NewLRR() }, flat},
+		{"TwoLevel", func() Policy { return NewTwoLevel() }, flat},
+		{"GATES/INT-high", func() Policy { return NewGATES() }, gatesRank(isa.INT)},
+		{"GATES/FP-high", func() Policy { return fpHigh() }, gatesRank(isa.FP)},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		nWarps := 1 + rng.Intn(64)
+		// Active warps carry a class; only the ready subset is walked, so
+		// the per-class masks include active warps that are not ready.
+		var byClass [isa.NumClasses]uint64
+		var ready uint64
+		var cands []candidate
+		for i := 0; i < nWarps; i++ {
+			if rng.Intn(4) == 0 {
+				continue // idle or pending slot
+			}
+			c := isa.Class(rng.Intn(int(isa.NumClasses)))
+			byClass[c] |= 1 << uint(i)
+			if rng.Intn(3) != 0 {
+				ready |= 1 << uint(i)
+				cands = append(cands, cand(i, c))
+			}
+		}
+		for pivot := -1; pivot <= 63; pivot++ {
+			for _, pc := range policies {
+				p := pc.make()
+				if pivot >= 0 {
+					p.OnIssue(pivot)
+				}
+				w := p.Order().Walk(ready, &byClass)
+				got := []int{}
+				for i := w.Next(); i >= 0; i = w.Next() {
+					got = append(got, i)
+				}
+				want := oracleOrder(append([]candidate(nil), cands...), pivot, pc.rank)
+				if !equalInts(got, want) {
+					t.Fatalf("%s trial %d pivot %d: walk %v, rotate+bucket %v", pc.name, trial, pivot, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRotateBasic(t *testing.T) {
-	cands := []Candidate{cand(0, isa.INT), cand(2, isa.INT), cand(5, isa.INT), cand(9, isa.INT)}
-	rotate(cands, 2)
-	if got := idxOrder(cands); !equalInts(got, []int{5, 9, 0, 2}) {
-		t.Fatalf("rotate after 2 = %v", got)
+	cands := []candidate{cand(0, isa.INT), cand(2, isa.INT), cand(5, isa.INT), cand(9, isa.INT)}
+	o := Order{Pivot: 2, Groups: allClassesGroup}
+	if got := walkAll(o, cands...); !equalInts(got, []int{5, 9, 0, 2}) {
+		t.Fatalf("walk after 2 = %v", got)
 	}
 }
 
 func TestRotateEdgeCases(t *testing.T) {
+	cands := []candidate{cand(3, isa.INT), cand(7, isa.INT)}
 	// Pivot before all: unchanged.
-	cands := []Candidate{cand(3, isa.INT), cand(7, isa.INT)}
-	rotate(cands, -1)
-	if got := idxOrder(cands); !equalInts(got, []int{3, 7}) {
-		t.Fatalf("rotate(-1) = %v", got)
+	if got := walkAll(Order{Pivot: -1, Groups: allClassesGroup}, cands...); !equalInts(got, []int{3, 7}) {
+		t.Fatalf("walk after -1 = %v", got)
 	}
-	// Pivot after all: unchanged.
-	rotate(cands, 100)
-	if got := idxOrder(cands); !equalInts(got, []int{3, 7}) {
-		t.Fatalf("rotate(100) = %v", got)
+	// Pivot after all (including the last slot and beyond): unchanged.
+	for _, pivot := range []int{63, 100} {
+		if got := walkAll(Order{Pivot: pivot, Groups: allClassesGroup}, cands...); !equalInts(got, []int{3, 7}) {
+			t.Fatalf("walk after %d = %v", pivot, got)
+		}
 	}
-	// Single element and empty are no-ops.
-	one := []Candidate{cand(1, isa.INT)}
-	rotate(one, 0)
-	rotate(nil, 5)
+	// Single element and empty.
+	if got := walkAll(Order{Pivot: 0, Groups: allClassesGroup}, cand(1, isa.INT)); !equalInts(got, []int{1}) {
+		t.Fatalf("single-warp walk = %v", got)
+	}
+	if got := walkAll(Order{Pivot: 5, Groups: allClassesGroup}); len(got) != 0 {
+		t.Fatalf("empty walk = %v", got)
+	}
 }
 
 func TestTwoLevelRoundRobin(t *testing.T) {
 	p := NewTwoLevel()
-	st := &SMState{NumWarps: 16}
-	cands := []Candidate{cand(1, isa.INT), cand(4, isa.FP), cand(8, isa.LDST)}
-	p.Arrange(cands, st)
-	if cands[0].WarpIdx != 1 {
-		t.Fatalf("fresh scheduler should start from lowest warp, got %d", cands[0].WarpIdx)
+	cands := []candidate{cand(1, isa.INT), cand(4, isa.FP), cand(8, isa.LDST)}
+	if w := first(p, cands...); w != 1 {
+		t.Fatalf("fresh scheduler should start from lowest warp, got %d", w)
 	}
-	p.OnIssue(cands[0])
-	cands2 := []Candidate{cand(1, isa.INT), cand(4, isa.FP), cand(8, isa.LDST)}
-	p.Arrange(cands2, st)
-	if cands2[0].WarpIdx != 4 {
-		t.Fatalf("after issuing warp 1, next should be 4, got %d", cands2[0].WarpIdx)
+	p.OnIssue(1)
+	if w := first(p, cands...); w != 4 {
+		t.Fatalf("after issuing warp 1, next should be 4, got %d", w)
 	}
 }
 
 func TestTwoLevelIgnoresType(t *testing.T) {
-	// The baseline greedily intersperses types: the arrangement depends only
-	// on warp order, never on instruction class (the paper's §3 critique).
+	// The baseline greedily intersperses types: the order depends only on
+	// warp order, never on instruction class (the paper's §3 critique).
 	p := NewTwoLevel()
-	st := &SMState{NumWarps: 8}
-	a := []Candidate{cand(0, isa.FP), cand(1, isa.INT), cand(2, isa.FP)}
-	p.Arrange(a, st)
-	if got := idxOrder(a); !equalInts(got, []int{0, 1, 2}) {
+	got := walkAll(p.Order(), cand(0, isa.FP), cand(1, isa.INT), cand(2, isa.FP))
+	if !equalInts(got, []int{0, 1, 2}) {
 		t.Fatalf("two-level reordered by type: %v", got)
 	}
 }
 
 func TestLRRBehavesLikeRoundRobin(t *testing.T) {
 	p := NewLRR()
-	st := &SMState{NumWarps: 8}
-	cands := []Candidate{cand(0, isa.INT), cand(3, isa.FP)}
-	p.Arrange(cands, st)
-	p.OnIssue(cands[0])
-	cands = []Candidate{cand(0, isa.INT), cand(3, isa.FP)}
-	p.Arrange(cands, st)
-	if cands[0].WarpIdx != 3 {
-		t.Fatalf("LRR did not rotate: %v", idxOrder(cands))
+	cands := []candidate{cand(0, isa.INT), cand(3, isa.FP)}
+	p.OnIssue(first(p, cands...))
+	if got := walkAll(p.Order(), cands...); got[0] != 3 {
+		t.Fatalf("LRR did not rotate: %v", got)
 	}
 }
 

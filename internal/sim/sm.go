@@ -88,6 +88,9 @@ type SM struct {
 	warpClass  []isa.Class         // next-instruction class per active warp
 	emptySlots int                 // CTA slots currently holding no live warps
 	drained    bool                // all CTAs launched and every warp finished
+	// activeByClass[c] holds the active warps whose next instruction is of
+	// class c: the bitmask form of actv that the issue walk groups by.
+	activeByClass [isa.NumClasses]uint64
 
 	policies []sched.Policy
 	gatesPol *sched.GATES // non-nil when the GATES policy is active
@@ -121,8 +124,6 @@ type SM struct {
 	retirePool []retireEvent
 	retireFree int32
 
-	// candBuf holds reusable candidate slices, one per scheduler slot.
-	candBuf [][]sched.Candidate
 	// memBlocked marks that a global access already failed MSHR admission
 	// this cycle; the MSHR is SM-wide, so further LDST candidates are
 	// skipped until next cycle.
@@ -252,18 +253,12 @@ func newSM(id int, cfg config.Config, k *kernels.Kernel, gpuMem *mem.GPUMem, ben
 	sm.ctaLive = make([]int, conc)
 	sm.ctasRemaining = k.CTAsPerSM
 	sm.emptySlots = conc
-	sm.smState.NumWarps = nWarps
 
-	// Scheduler-slot warp partitions and candidate buffers, sized up front so
-	// the issue stage never allocates.
+	// Scheduler-slot warp partitions.
 	nsched := len(sm.policies)
 	sm.slotMask = make([]uint64, nsched)
 	for i := 0; i < nWarps; i++ {
 		sm.slotMask[i%nsched] |= 1 << uint(i)
-	}
-	sm.candBuf = make([][]sched.Candidate, nsched)
-	for s := range sm.candBuf {
-		sm.candBuf[s] = make([]sched.Candidate, 0, (nWarps+nsched-1)/nsched)
 	}
 
 	// Launch the first wave.
@@ -305,6 +300,7 @@ func (sm *SM) refreshWarp(i int) {
 	if sm.activeMask&bit != 0 {
 		c := sm.warpClass[i]
 		sm.actv[c]--
+		sm.activeByClass[c] &^= bit
 		if sm.readyMask&bit != 0 {
 			sm.rdy[c]--
 		}
@@ -320,6 +316,7 @@ func (sm *SM) refreshWarp(i int) {
 		c := w.current().Class()
 		sm.warpClass[i] = c
 		sm.actv[c]++
+		sm.activeByClass[c] |= bit
 		if w.blockedMask() == 0 {
 			sm.readyMask |= bit
 			sm.rdy[c]++
@@ -440,8 +437,6 @@ func (sm *SM) refreshCounters() {
 	sm.smState.RDY = sm.rdy
 	sm.smState.AllBlackout[isa.INT] = sm.intCoord.AllInBlackout()
 	sm.smState.AllBlackout[isa.FP] = sm.fpCoord.AllInBlackout()
-	sm.smState.AllBlackout[isa.SFU] = false
-	sm.smState.AllBlackout[isa.LDST] = false
 
 	active := bits.OnesCount64(sm.activeMask)
 	sm.st.ActiveWarpSum += uint64(active)
@@ -451,48 +446,36 @@ func (sm *SM) refreshCounters() {
 }
 
 // issue runs the SM's scheduler slots for one cycle. Warps are statically
-// partitioned between the slots by warp index, as in Fermi.
+// partitioned between the slots by warp index, as in Fermi. Each slot walks
+// its ready warps in its policy's priority order and issues the first one
+// that passes the structural and gating checks.
 func (sm *SM) issue(now int64) {
 	sm.memBlocked = false
-	for s := range sm.policies {
-		cands := sm.candidates(s)
-		if len(cands) == 0 {
+	for s, pol := range sm.policies {
+		ready := sm.readyMask & sm.slotMask[s]
+		if ready == 0 {
 			continue
 		}
-		pol := sm.policies[s]
-		pol.Arrange(cands, &sm.smState)
-		for _, c := range cands {
-			if sm.tryIssue(now, c) {
-				pol.OnIssue(c)
+		walk := pol.Order().Walk(ready, &sm.activeByClass)
+		for i := walk.Next(); i >= 0; i = walk.Next() {
+			if sm.tryIssue(now, i) {
+				pol.OnIssue(i)
 				break
 			}
 		}
 	}
 }
 
-// candidates collects ready warps belonging to scheduler slot s into the
-// slot's reusable buffer, in ascending warp order (the bitset walk matches
-// the old striped table scan).
-func (sm *SM) candidates(s int) []sched.Candidate {
-	out := sm.candBuf[s][:0]
-	for m := sm.readyMask & sm.slotMask[s]; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		out = append(out, sched.Candidate{WarpIdx: i, Class: sm.warpClass[i]})
-	}
-	sm.candBuf[s] = out
-	return out
-}
-
-// tryIssue attempts to issue warp c's next instruction; it returns false on
+// tryIssue attempts to issue warp i's next instruction; it returns false on
 // structural or gating hazards, in which case the arbiter tries the next
-// candidate (the heterogeneity that hides Blackout's latency, §5).
-func (sm *SM) tryIssue(now int64, c sched.Candidate) bool {
-	w := sm.warps[c.WarpIdx]
+// ready warp (the heterogeneity that hides Blackout's latency, §5).
+func (sm *SM) tryIssue(now int64, i int) bool {
+	w := sm.warps[i]
 	in := w.current()
 	if in == nil {
 		return false
 	}
-	switch in.Class() {
+	switch sm.warpClass[i] {
 	case isa.INT:
 		return sm.issueALU(now, w, in, sm.intPipes)
 	case isa.FP:

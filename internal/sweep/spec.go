@@ -9,7 +9,9 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -37,6 +39,19 @@ type Spec struct {
 
 	SampleDetail int `json:"sample_detail,omitempty"`
 	SamplePeriod int `json:"sample_period,omitempty"`
+}
+
+// DecodeSpec reads one JSON sweep spec from r. Unknown fields are an error,
+// so a misspelled axis fails loudly instead of silently falling back to its
+// default.
+func DecodeSpec(r io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, err
+	}
+	return spec, nil
 }
 
 // Cell is one fully resolved grid point. Every axis holds a concrete value
