@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-short bench-compare bench-history bench-go calibrate check verify store-faults fuzz serve-test sweep-test ci
+.PHONY: build test race vet bench bench-short bench-compare bench-history bench-go bench-micro calibrate check verify store-faults fuzz serve-test sweep-test ci
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,12 @@ bench-history:
 # compares cells across commits.
 bench-go:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# The per-commit micro-benchmarks the CI bench job runs: the matrix cells,
+# the issue-stage walk, the MSHR and the per-cycle SM cost (ns/cycle on a
+# GTX480 SM), one iteration each.
+bench-micro:
+	$(GO) test -run '^$$' -bench 'Matrix|Walk|MSHR|SMCycle' -benchmem -benchtime=1x ./internal/sim ./internal/sched ./internal/mem
 
 check: build test
 

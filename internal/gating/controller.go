@@ -267,6 +267,10 @@ func (c *Controller) Finish() { c.endIdleRun() }
 // shared, not copied; callers must not mutate it.
 func (c *Controller) Stats() Stats { return c.st }
 
+// CriticalWakeups returns the running critical-wakeup count, for per-cycle
+// readers that need that counter alone.
+func (c *Controller) CriticalWakeups() uint64 { return c.st.CriticalWakeups }
+
 // Kind returns the controller's gating policy.
 func (c *Controller) Kind() config.GatingKind { return c.kind }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"warpedgates/internal/config"
 )
@@ -174,29 +175,31 @@ func (p *SMPort) SharedAccess(now int64) int64 {
 // occurrence allocates the entry and later ones merge with it, so charging
 // each repeat a fresh entry would reject accesses the table can in fact hold
 // (the coalescer emits duplicates when a strided pattern wraps a small
-// working set). The inner scan is quadratic but lines is bounded by the warp
-// transaction fan-out (at most 8).
+// working set).
+//
+// The count of needed entries never exceeds len(lines) and only grows along
+// the scan, so the scan runs only when the table cannot take every line as a
+// fresh entry, and it stops at the first line that overflows the table. Its
+// duplicate check is quadratic, but lines is bounded by the warp transaction
+// fan-out (at most 8).
 func (p *SMPort) CanIssueGlobal(lines []Line) bool {
+	if p.mshr.HasRoom(len(lines)) {
+		return true
+	}
 	need := 0
 	for i, l := range lines {
+		if slices.Contains(lines[:i], l) {
+			continue
+		}
 		if _, pending := p.mshr.Lookup(l); pending {
 			continue
 		}
-		dup := false
-		for _, e := range lines[:i] {
-			if e == l {
-				dup = true
-				break
-			}
+		need++
+		if !p.mshr.HasRoom(need) {
+			p.mshr.NoteFull()
+			p.stallsMSHR++
+			return false
 		}
-		if !dup {
-			need++
-		}
-	}
-	if !p.mshr.HasRoom(need) {
-		p.mshr.NoteFull()
-		p.stallsMSHR++
-		return false
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 
 	"warpedgates/internal/config"
@@ -170,6 +171,50 @@ func TestCanIssueGlobalDeduplicatesLines(t *testing.T) {
 	// All distinct and the table full: admission must still reject.
 	if p.CanIssueGlobal([]Line{3}) {
 		t.Fatal("full MSHR accepted a new line")
+	}
+}
+
+// TestCanIssueGlobalMatchesFullCount pins the admission check's early exits
+// (no scan when every line fits as a fresh entry, stop at the first line
+// that overflows) to the plain rule: count the distinct lines without an
+// outstanding fill and admit iff the table has room for that many. Lines
+// come from a small universe so duplicates and pending lines are common; a
+// refusal must count one full stall on both the table and the port.
+func TestCanIssueGlobalMatchesFullCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		cfg := testCfg()
+		cfg.MSHRPerSM = 1 + rng.Intn(8)
+		p := NewSMPort(cfg, NewGPUMem(cfg))
+		for n := rng.Intn(cfg.MSHRPerSM + 1); n > 0; n-- {
+			if l := Line(rng.Intn(12)); p.mshr.find(l) < 0 {
+				p.mshr.Allocate(l, 100)
+			}
+		}
+		lines := make([]Line, 1+rng.Intn(8))
+		for i := range lines {
+			lines[i] = Line(rng.Intn(12))
+		}
+		distinct := map[Line]bool{}
+		for _, l := range lines {
+			if p.mshr.find(l) < 0 {
+				distinct[l] = true
+			}
+		}
+		want := p.mshr.HasRoom(len(distinct))
+		if got := p.CanIssueGlobal(lines); got != want {
+			t.Fatalf("trial %d: %d/%d entries used, lines %v: CanIssueGlobal = %v, want %v",
+				trial, p.Occupancy(), cfg.MSHRPerSM, lines, got, want)
+		}
+		_, _, full := p.MSHRStats()
+		_, _, stalls := p.Stats()
+		wantStalls := uint64(0)
+		if !want {
+			wantStalls = 1
+		}
+		if full != wantStalls || stalls != wantStalls {
+			t.Fatalf("trial %d: full stalls %d, port stalls %d, want %d", trial, full, stalls, wantStalls)
+		}
 	}
 }
 

@@ -7,11 +7,12 @@
 // A policy never sees a candidate list. Once per scheduler slot per cycle it
 // reports its issue order as data (Order): a round-robin pivot, which is the
 // last warp it issued, and its class-priority groups. The simulator walks the
-// slot's ready-warp bitmask in that order (Walk) until one warp passes the
-// structural and gating checks, then reports the issued warp back through
-// OnIssue. Two policy instances per SM model Fermi's dual schedulers; GATES
-// instances share per-SM priority state, matching the paper's single per-SM
-// priority register.
+// slot's ready-warp bitmask in that order (Walk), passing over the warps of
+// classes it already knows cannot issue this cycle (NextExcept), until one
+// warp passes the structural and gating checks, then reports the issued warp
+// back through OnIssue. Two policy instances per SM model Fermi's dual
+// schedulers; GATES instances share per-SM priority state, matching the
+// paper's single per-SM priority register.
 package sched
 
 import (
@@ -37,9 +38,9 @@ type SMState struct {
 // ClassSet is a set of instruction classes: bit c stands for isa.Class(c).
 type ClassSet uint8
 
-// mask returns the warps whose next instruction is of a class in s, given
+// Mask returns the warps whose next instruction is of a class in s, given
 // the per-class warp bitmasks.
-func (s ClassSet) mask(byClass *[isa.NumClasses]uint64) uint64 {
+func (s ClassSet) Mask(byClass *[isa.NumClasses]uint64) uint64 {
 	var m uint64
 	for ; s != 0; s &= s - 1 {
 		m |= byClass[bits.TrailingZeros8(uint8(s))]
@@ -71,7 +72,7 @@ func (o Order) Walk(ready uint64, byClass *[isa.NumClasses]uint64) Walk {
 // Walk is an in-progress priority walk over a ready-warp bitmask. Each class
 // group splits into the part above the pivot and the rest; each part is
 // visited in ascending warp index, and a group's masks are only computed
-// once the walk reaches it, so a walk touches only the warps it returns.
+// once the walk reaches it, so a walk touches only the groups it reaches.
 type Walk struct {
 	ready, above uint64
 	byClass      *[isa.NumClasses]uint64
@@ -81,21 +82,41 @@ type Walk struct {
 
 // Next returns the next warp of the walk, or -1 when every warp was visited.
 func (w *Walk) Next() int {
-	for w.cur == 0 {
-		if w.rest != 0 {
-			w.cur, w.rest = w.rest, 0
+	warp, _ := w.NextExcept(0)
+	return warp
+}
+
+// NextExcept returns the next warp of the walk that is not in skip, or -1
+// when none is left. skipped holds the warps of skip the walk passed on the
+// way, which it will not visit again. A part whose warps are all in skip is
+// passed whole, so skipping a blocked class costs no per-warp step.
+func (w *Walk) NextExcept(skip uint64) (warp int, skipped uint64) {
+	for {
+		if w.cur == 0 {
+			if w.rest != 0 {
+				w.cur, w.rest = w.rest, 0
+				continue
+			}
+			if len(w.groups) == 0 {
+				return -1, skipped
+			}
+			m := w.ready & w.groups[0].Mask(w.byClass)
+			w.groups = w.groups[1:]
+			w.cur, w.rest = m&w.above, m&^w.above
 			continue
 		}
-		if len(w.groups) == 0 {
-			return -1
+		open := w.cur &^ skip
+		if open == 0 {
+			skipped |= w.cur
+			w.cur = 0
+			continue
 		}
-		m := w.ready & w.groups[0].mask(w.byClass)
-		w.groups = w.groups[1:]
-		w.cur, w.rest = m&w.above, m&^w.above
+		bit := open & -open
+		below := bit - 1
+		skipped |= w.cur & below
+		w.cur &^= bit | below
+		return bits.TrailingZeros64(bit), skipped
 	}
-	warp := bits.TrailingZeros64(w.cur)
-	w.cur &= w.cur - 1
-	return warp
 }
 
 // Policy decides the issue order. Implementations may keep history (e.g.

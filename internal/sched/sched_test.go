@@ -176,6 +176,81 @@ func TestWalkMatchesRotateThenBucket(t *testing.T) {
 	}
 }
 
+// TestWalkNextExceptMatchesFilteredWalk pins NextExcept to the plain walk
+// filtered by the skip mask, for random ready, active and skip masks, every
+// pivot and every policy. The skip mask grows between calls, as the issue
+// stage's blocked sets do within a cycle. Each call must return the first
+// warp of the plain walk past the previous one that is not in skip, and
+// report as skipped exactly the skip warps it passed on the way.
+func TestWalkNextExceptMatchesFilteredWalk(t *testing.T) {
+	policies := []struct {
+		name string
+		make func() Policy
+	}{
+		{"LRR", func() Policy { return NewLRR() }},
+		{"TwoLevel", func() Policy { return NewTwoLevel() }},
+		{"GATES/INT-high", func() Policy { return NewGATES() }},
+		{"GATES/FP-high", func() Policy { return fpHigh() }},
+	}
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		nWarps := 1 + rng.Intn(64)
+		var byClass [isa.NumClasses]uint64
+		var ready uint64
+		for i := 0; i < nWarps; i++ {
+			if rng.Intn(4) == 0 {
+				continue // idle or pending slot
+			}
+			byClass[rng.Intn(int(isa.NumClasses))] |= 1 << uint(i)
+			if rng.Intn(3) != 0 {
+				ready |= 1 << uint(i)
+			}
+		}
+		for pivot := -1; pivot <= 63; pivot++ {
+			for _, pc := range policies {
+				p := pc.make()
+				if pivot >= 0 {
+					p.OnIssue(pivot)
+				}
+				plain := p.Order().Walk(ready, &byClass)
+				var order []int
+				for i := plain.Next(); i >= 0; i = plain.Next() {
+					order = append(order, i)
+				}
+				// Skip bits may fall on non-ready warps; the walk never
+				// visits those, so they must never be reported.
+				skip := rng.Uint64() & rng.Uint64()
+				w := p.Order().Walk(ready, &byClass)
+				pos := 0
+				for {
+					want, wantSkipped := -1, uint64(0)
+					for ; pos < len(order); pos++ {
+						bit := uint64(1) << uint(order[pos])
+						if skip&bit != 0 {
+							wantSkipped |= bit
+							continue
+						}
+						want = order[pos]
+						pos++
+						break
+					}
+					got, skipped := w.NextExcept(skip)
+					if got != want || skipped != wantSkipped {
+						t.Fatalf("%s trial %d pivot %d skip %#x: NextExcept = %d, skipped %#x; filtered walk %d, skipped %#x",
+							pc.name, trial, pivot, skip, got, skipped, want, wantSkipped)
+					}
+					if got < 0 {
+						break
+					}
+					if rng.Intn(2) == 0 {
+						skip |= rng.Uint64() & rng.Uint64()
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRotateBasic(t *testing.T) {
 	cands := []candidate{cand(0, isa.INT), cand(2, isa.INT), cand(5, isa.INT), cand(9, isa.INT)}
 	o := Order{Pivot: 2, Groups: allClassesGroup}

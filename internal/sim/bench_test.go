@@ -7,9 +7,15 @@ import (
 	"warpedgates/internal/kernels"
 )
 
-// BenchmarkSMCycle measures the cost of one simulated SM cycle under the
-// full Warped Gates configuration — the number that bounds how fast the
-// figure harness can run.
+// smCycleBlock is the number of SM cycles one BenchmarkSMCycle iteration
+// steps, so a single iteration (-benchtime=1x, as CI runs it) still times a
+// steady stretch of cycles rather than one.
+const smCycleBlock = 4096
+
+// BenchmarkSMCycle measures the cost of one simulated SM cycle (the ns/cycle
+// metric) under the full Warped Gates configuration on a GTX480 SM — the
+// number that bounds how fast the figure harness can run. The first block of
+// cycles, while the first CTAs ramp up, runs before the timer starts.
 func BenchmarkSMCycle(b *testing.B) {
 	cfg := config.GTX480()
 	cfg.NumSMs = 1
@@ -23,10 +29,17 @@ func BenchmarkSMCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	sm := gpu.SMs()[0]
+	now := int64(0)
+	for ; now < smCycleBlock; now++ {
+		sm.step(now)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sm.step(int64(i))
+		for end := now + smCycleBlock; now < end; now++ {
+			sm.step(now)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*smCycleBlock), "ns/cycle")
 }
 
 // BenchmarkMatrix runs representative benchmark × technique cells as named

@@ -45,13 +45,19 @@ type stagedRetire struct {
 
 // SMStats aggregates the per-SM counters the figures are computed from.
 type SMStats struct {
-	Cycles          int64
-	IssuedByClass   [isa.NumClasses]uint64
-	IssuedTotal     uint64
-	ActiveWarpSum   uint64 // sum over cycles of active-set size (Fig. 5b avg)
-	ActiveWarpMax   int    // peak active-set size (Fig. 5b max)
-	IssueStallsMem  uint64 // candidate failed on MSHR/port hazard
-	IssueStallsGate uint64 // candidate failed because all target pipes were gated
+	Cycles        int64
+	IssuedByClass [isa.NumClasses]uint64
+	IssuedTotal   uint64
+	ActiveWarpSum uint64 // sum over cycles of active-set size (Fig. 5b avg)
+	ActiveWarpMax int    // peak active-set size (Fig. 5b max)
+	// IssueStallsMem and IssueStallsGate count would-be issue attempts: one
+	// per ready warp the issue walk reached before its slot issued (or, when
+	// nothing issued, per ready warp of the slot) whose global access found
+	// the MSHR full, or all of whose target pipes were gated or port-busy.
+	// The walk passes over a blocked class without trying its warps and adds
+	// them in bulk.
+	IssueStallsMem  uint64
+	IssueStallsGate uint64
 	CTAsCompleted   int
 }
 
@@ -86,11 +92,15 @@ type SM struct {
 	actv       [isa.NumClasses]int // active warps per next-instruction class
 	rdy        [isa.NumClasses]int // ready warps per next-instruction class
 	warpClass  []isa.Class         // next-instruction class per active warp
+	warpInstr  []*isa.Instr        // next instruction per active warp
 	emptySlots int                 // CTA slots currently holding no live warps
 	drained    bool                // all CTAs launched and every warp finished
 	// activeByClass[c] holds the active warps whose next instruction is of
 	// class c: the bitmask form of actv that the issue walk groups by.
 	activeByClass [isa.NumClasses]uint64
+	// globalMem holds the active warps whose next instruction is a global or
+	// local LDST: the subset of activeByClass[LDST] that needs the MSHR.
+	globalMem uint64
 
 	policies []sched.Policy
 	gatesPol *sched.GATES // non-nil when the GATES policy is active
@@ -102,12 +112,11 @@ type SM struct {
 	ldstPipe *Pipe
 
 	// pipes is the fixed all-pipes order (INT clusters, FP clusters, SFU,
-	// LDST) used by ticking, probes and reporting; sfuPipes/ldstPipes are
-	// the single-element views signalReadyDemand needs. All precomputed so
-	// the hot path never allocates.
-	pipes     []*Pipe
-	sfuPipes  []*Pipe
-	ldstPipes []*Pipe
+	// LDST) used by ticking, probes and reporting; classPipes[c] are the
+	// pipes that can execute class c, as issue and signalReadyDemand need
+	// them. Both precomputed so the hot path never allocates.
+	pipes      []*Pipe
+	classPipes [isa.NumClasses][]*Pipe
 
 	intCoord *gating.Coordinator
 	fpCoord  *gating.Coordinator
@@ -125,9 +134,13 @@ type SM struct {
 	retireFree int32
 
 	// memBlocked marks that a global access already failed MSHR admission
-	// this cycle; the MSHR is SM-wide, so further LDST candidates are
-	// skipped until next cycle.
+	// this cycle. The MSHR is SM-wide, so every later global or local LDST
+	// fails the same way until next cycle; shared-space LDST does not use the
+	// MSHR and still issues.
 	memBlocked bool
+	// gateBlocked, valid during issue, holds the classes none of whose pipes
+	// can start an instruction this cycle (gated or port-busy).
+	gateBlocked sched.ClassSet
 
 	// memStage, set by the parallel engine, makes issueMemory stage global
 	// accesses on the port instead of resolving them inline; resolveMemory
@@ -206,8 +219,9 @@ func newSM(id int, cfg config.Config, k *kernels.Kernel, gpuMem *mem.GPUMem, ben
 	sm.pipes = append(sm.pipes, sm.intPipes...)
 	sm.pipes = append(sm.pipes, sm.fpPipes...)
 	sm.pipes = append(sm.pipes, sm.sfuPipe, sm.ldstPipe)
-	sm.sfuPipes = []*Pipe{sm.sfuPipe}
-	sm.ldstPipes = []*Pipe{sm.ldstPipe}
+	sm.classPipes = [isa.NumClasses][]*Pipe{
+		isa.INT: sm.intPipes, isa.FP: sm.fpPipes, isa.SFU: {sm.sfuPipe}, isa.LDST: {sm.ldstPipe},
+	}
 	sm.laneBuf = make([]LaneState, 0, len(sm.pipes))
 
 	// Scheduler slots. GATES shares one priority register per SM (Fig. 7),
@@ -250,6 +264,7 @@ func newSM(id int, cfg config.Config, k *kernels.Kernel, gpuMem *mem.GPUMem, ben
 		sm.warps[i] = &Warp{id: i, state: WarpIdleSlot}
 	}
 	sm.warpClass = make([]isa.Class, nWarps)
+	sm.warpInstr = make([]*isa.Instr, nWarps)
 	sm.ctaLive = make([]int, conc)
 	sm.ctasRemaining = k.CTAsPerSM
 	sm.emptySlots = conc
@@ -308,15 +323,21 @@ func (sm *SM) refreshWarp(i int) {
 	sm.activeMask &^= bit
 	sm.readyMask &^= bit
 	sm.liveMask &^= bit
+	sm.globalMem &^= bit
 	w := sm.warps[i]
 	switch w.state {
 	case WarpActive:
 		sm.liveMask |= bit
 		sm.activeMask |= bit
-		c := w.current().Class()
+		in := w.current()
+		c := in.Class()
 		sm.warpClass[i] = c
+		sm.warpInstr[i] = in
 		sm.actv[c]++
 		sm.activeByClass[c] |= bit
+		if c == isa.LDST && in.Space != isa.SpaceShared {
+			sm.globalMem |= bit
+		}
 		if w.blockedMask() == 0 {
 			sm.readyMask |= bit
 			sm.rdy[c]++
@@ -333,6 +354,14 @@ func (sm *SM) done() bool {
 
 // step simulates cycle now on the SM.
 func (sm *SM) step(now int64) {
+	sm.beginCycle(now)
+	sm.issue(now)
+	sm.endCycle(now)
+}
+
+// beginCycle runs the phases of cycle now that precede issue: MSHR expiry,
+// writeback, CTA replacement and the scheduler-visible counters.
+func (sm *SM) beginCycle(now int64) {
 	sm.st.Cycles++
 	sm.memPort.Expire(now)
 	sm.writeback(now)
@@ -341,7 +370,11 @@ func (sm *SM) step(now int64) {
 	if sm.gatesPol != nil {
 		sm.gatesPol.UpdatePriority(&sm.smState)
 	}
-	sm.issue(now)
+}
+
+// endCycle runs the phases of cycle now that follow issue: the gating
+// controllers and the cycle probe.
+func (sm *SM) endCycle(now int64) {
 	sm.tickGating(now)
 	sm.emitProbe(now)
 }
@@ -449,32 +482,94 @@ func (sm *SM) refreshCounters() {
 // partitioned between the slots by warp index, as in Fermi. Each slot walks
 // its ready warps in its policy's priority order and issues the first one
 // that passes the structural and gating checks.
+//
+// A blocked class is a property of the cycle, not of each warp: once no pipe
+// of a class can start, or the MSHR refused a global access, every later warp
+// of that class fails the same way. The walk therefore passes over those
+// warps without trying them and adds them to the stall counters in bulk,
+// which gives the counts a per-warp attempt loop would give. Both blocked
+// sets only grow within a cycle (gate states change in tickGating, Pipe.Start
+// only makes a pipe busier, memBlocked stays set), so they are updated only
+// after a commit, for the committed pipe's class, and after an MSHR refusal.
 func (sm *SM) issue(now int64) {
 	sm.memBlocked = false
+	checked := false
 	for s, pol := range sm.policies {
 		ready := sm.readyMask & sm.slotMask[s]
 		if ready == 0 {
 			continue
 		}
+		if !checked {
+			sm.gateBlocked = sm.closedClasses(now)
+			checked = true
+		}
 		walk := pol.Order().Walk(ready, &sm.activeByClass)
-		for i := walk.Next(); i >= 0; i = walk.Next() {
-			if sm.tryIssue(now, i) {
-				pol.OnIssue(i)
+		gate, mem := sm.blockedWarps()
+		for {
+			i, skipped := walk.NextExcept(gate | mem)
+			sm.st.IssueStallsGate += uint64(bits.OnesCount64(skipped & gate))
+			sm.st.IssueStallsMem += uint64(bits.OnesCount64(skipped & mem))
+			if i < 0 {
 				break
 			}
+			c := sm.warpClass[i]
+			if sm.tryIssue(now, i) {
+				pol.OnIssue(i)
+				if !sm.classOpen(c, now) {
+					sm.gateBlocked |= 1 << c
+				}
+				break
+			}
+			// Only a global access the MSHR refused gets here; it set
+			// memBlocked.
+			gate, mem = sm.blockedWarps()
 		}
 	}
 }
 
-// tryIssue attempts to issue warp i's next instruction; it returns false on
-// structural or gating hazards, in which case the arbiter tries the next
-// ready warp (the heterogeneity that hides Blackout's latency, §5).
+// closedClasses returns the classes none of whose pipes can start an
+// instruction at cycle now.
+func (sm *SM) closedClasses(now int64) (closed sched.ClassSet) {
+	for c := range sm.classPipes {
+		if !sm.classOpen(isa.Class(c), now) {
+			closed |= 1 << c
+		}
+	}
+	return closed
+}
+
+// classOpen reports whether some pipe of class c can start an instruction at
+// cycle now.
+func (sm *SM) classOpen(c isa.Class, now int64) bool {
+	for _, p := range sm.classPipes[c] {
+		if p.CanStart(now) {
+			return true
+		}
+	}
+	return false
+}
+
+// blockedWarps returns the active warps that cannot issue for the rest of
+// the cycle: gate holds the warps of gate-blocked classes, mem the global
+// LDST warps held back by memBlocked while the LDST pipe itself can start.
+// The two are disjoint, matching the order of the checks in issueMemory.
+func (sm *SM) blockedWarps() (gate, mem uint64) {
+	gate = sm.gateBlocked.Mask(&sm.activeByClass)
+	if sm.memBlocked && sm.gateBlocked&(1<<isa.LDST) == 0 {
+		mem = sm.globalMem
+	}
+	return gate, mem
+}
+
+// tryIssue attempts to issue ready warp i's next instruction; it returns
+// false on structural or gating hazards, in which case the arbiter tries the
+// next ready warp (the heterogeneity that hides Blackout's latency, §5).
+// issue only calls it for warps of open classes, where the one failure left
+// is a global access the MSHR refuses; the other hazard paths keep it exact
+// for a caller that tries every warp in turn.
 func (sm *SM) tryIssue(now int64, i int) bool {
 	w := sm.warps[i]
-	in := w.current()
-	if in == nil {
-		return false
-	}
+	in := sm.warpInstr[i]
 	switch sm.warpClass[i] {
 	case isa.INT:
 		return sm.issueALU(now, w, in, sm.intPipes)
@@ -700,10 +795,9 @@ func (sm *SM) signalReadyDemand(rdy [isa.NumClasses]int, class isa.Class, pipes 
 // commit), so a warp that just issued is no longer waiting and must not wake
 // a gated unit — the same post-issue view the old re-scan derived.
 func (sm *SM) tickGating(now int64) {
-	sm.signalReadyDemand(sm.rdy, isa.INT, sm.intPipes)
-	sm.signalReadyDemand(sm.rdy, isa.FP, sm.fpPipes)
-	sm.signalReadyDemand(sm.rdy, isa.SFU, sm.sfuPipes)
-	sm.signalReadyDemand(sm.rdy, isa.LDST, sm.ldstPipes)
+	for c, pipes := range sm.classPipes {
+		sm.signalReadyDemand(sm.rdy, isa.Class(c), pipes)
+	}
 	// The coordinator sees the pre-issue ACTV snapshot (the register that
 	// was latched when the cycle began), not the live post-issue counters.
 	sm.intCoord.PreTick(sm.smState.ACTV[isa.INT])
@@ -725,7 +819,7 @@ func (sm *SM) tickGating(now int64) {
 func sumCriticals(pipes []*Pipe) uint64 {
 	var n uint64
 	for _, p := range pipes {
-		n += p.Gate().Stats().CriticalWakeups
+		n += p.Gate().CriticalWakeups()
 	}
 	return n
 }
